@@ -92,6 +92,7 @@ void IpuScheme::on_attach_telemetry(telemetry::MetricsRegistry* registry,
                                     const telemetry::Labels& labels) {
   if (registry == nullptr) {
     tl_intra_page_ = tl_level_climbs_ = tl_cold_appends_ = nullptr;
+    isr_.detach_telemetry();
     return;
   }
   isr_.attach_telemetry(*registry, labels);
@@ -238,20 +239,9 @@ std::uint32_t IpuScheme::update_cached_run(Lsn lsn, std::uint32_t count,
                     {"subpages", static_cast<double>(n)},
                     {"dest_level", static_cast<double>(dest)}});
   }
-  std::vector<Lsn> lsns(n);
-  std::vector<std::uint32_t> vers(n);
-  for (std::uint32_t k = 0; k < n; ++k) {
-    lsns[k] = lsn + k;
-    vers[k] = bump_version(lsn + k);
-  }
   // Round-robin the destination plane: hot extents would otherwise stay
   // pinned to one plane forever and unbalance the chips.
-  const auto alloc = program_new_slc_page(next_plane(), dest, lsns, vers,
-                                          now, /*host=*/true, ops);
-  if (!alloc) {
-    for (const Lsn l : lsns) versions_[l] -= 1;
-    direct_mlc_write(lsn, n, now, ops);
-  }
+  write_fresh_slc_page(lsn, n, dest, now, ops);
   return n;
 }
 
@@ -281,8 +271,6 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     }
   }
   std::uint32_t i = 0;
-  std::vector<Lsn> chunk;
-  std::vector<std::uint32_t> vers;
   while (i < count) {
     // Algorithm 1 resolves at request granularity: the update path is
     // taken when this request re-writes data whose previous version is
@@ -315,21 +303,9 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     }
     // New data (or misaligned overlap / MLC-resident): pack the run into
     // fresh Work pages, one request per page (Figure 3's W1/W2/W3).
-    chunk.clear();
-    vers.clear();
-    while (i < count && chunk.size() < subpages_per_page()) {
-      chunk.push_back(lsn + i);
-      vers.push_back(bump_version(lsn + i));
-      ++i;
-    }
-    const auto alloc = program_new_slc_page(next_plane(), BlockLevel::kWork,
-                                            chunk, vers, now,
-                                            /*host=*/true, ops);
-    if (!alloc) {
-      for (const Lsn l : chunk) versions_[l] -= 1;
-      direct_mlc_write(chunk.front(),
-                       static_cast<std::uint32_t>(chunk.size()), now, ops);
-    }
+    const std::uint32_t n = std::min(remaining, subpages_per_page());
+    write_fresh_slc_page(lsn + i, n, BlockLevel::kWork, now, ops);
+    i += n;
   }
 }
 
@@ -338,17 +314,19 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
   nand::Block& blk = array_.block(victim);
   const nand::Page& pg = blk.page(page);
 
-  std::vector<Lsn> live;
-  std::vector<std::uint32_t> vers;
+  std::array<Lsn, nand::kMaxSubpagesPerPage> live;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
+  std::size_t n = 0;
   for (std::uint32_t s = 0; s < subpages_per_page(); ++s) {
     const nand::Subpage sp =
         array_.subpage(victim, page, static_cast<SubpageId>(s));
     if (sp.state == nand::SubpageState::kValid) {
-      live.push_back(sp.owner_lsn);
-      vers.push_back(sp.version);
+      live[n] = sp.owner_lsn;
+      vers[n] = sp.version;
+      ++n;
     }
   }
-  PPSSD_CHECK(!live.empty());
+  PPSSD_CHECK(n > 0);
 
   // Degraded movement (Section 3.2 / Figure 4): updated pages keep their
   // level, never-updated pages sink one level; cold Work pages leave the
@@ -366,9 +344,11 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
     evict_page_to_mlc(victim, page, now, ops);
     return;
   }
-  const auto alloc =
-      program_new_slc_page(array_.block_static(victim).plane, dest, live,
-                           vers, now, /*host=*/false, ops);
+  const auto alloc = program_new_slc_page(
+      array_.block_static(victim).plane, dest,
+      std::span<const Lsn>(live.data(), n),
+      std::span<const std::uint32_t>(vers.data(), n), now, /*host=*/false,
+      ops);
   if (!alloc) {
     // No SLC destination: fall back to ejecting the page's data.
     evict_page_to_mlc(victim, page, now, ops);

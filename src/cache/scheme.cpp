@@ -35,6 +35,8 @@ void Scheme::attach_telemetry(telemetry::Telemetry* telemetry) {
     tl_reads_slc_ = tl_reads_mlc_ = tl_reads_unmapped_ = nullptr;
     tl_gc_slc_ = tl_gc_mlc_ = nullptr;
     tl_read_ber_ = tl_victim_util_ = nullptr;
+    bm_.detach_telemetry();
+    greedy_.detach_telemetry();
     on_attach_telemetry(nullptr, {});
     return;
   }
@@ -280,22 +282,41 @@ void Scheme::flush_evictions(std::uint32_t plane, SimTime now,
   staged_evictions_.clear();
 }
 
+void Scheme::write_fresh_slc_page(Lsn lsn, std::uint32_t n, BlockLevel level,
+                                  SimTime now, std::vector<PhysOp>& ops) {
+  PPSSD_CHECK(n > 0 && n <= spp_);
+  std::array<Lsn, nand::kMaxSubpagesPerPage> lsns;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    lsns[k] = lsn + k;
+    vers[k] = bump_version(lsn + k);
+  }
+  const auto alloc = program_new_slc_page(
+      next_plane(), level, std::span<const Lsn>(lsns.data(), n),
+      std::span<const std::uint32_t>(vers.data(), n), now, /*host=*/true,
+      ops);
+  if (!alloc) {
+    for (std::uint32_t k = 0; k < n; ++k) versions_[lsn + k] -= 1;
+    direct_mlc_write(lsn, n, now, ops);
+  }
+}
+
 void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
                               std::vector<PhysOp>& ops) {
   if (tl_direct_mlc_) tl_direct_mlc_->inc(count);
+  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   std::uint32_t i = 0;
-  std::vector<Lsn> chunk;
-  std::vector<std::uint32_t> vers;
   while (i < count) {
-    chunk.clear();
-    vers.clear();
-    while (i < count && chunk.size() < spp_) {
-      chunk.push_back(lsn + i);
-      vers.push_back(bump_version(lsn + i));
-      ++i;
+    const std::uint32_t n = std::min(count - i, spp_);
+    for (std::uint32_t k = 0; k < n; ++k) {
+      chunk[k] = lsn + i + k;
+      vers[k] = bump_version(lsn + i + k);
     }
-    program_mlc_page(chunk, vers, now, /*host=*/true, /*background=*/false,
-                     ops);
+    program_mlc_page(std::span<const Lsn>(chunk.data(), n),
+                     std::span<const std::uint32_t>(vers.data(), n), now,
+                     /*host=*/true, /*background=*/false, ops);
+    i += n;
   }
 }
 
@@ -597,12 +618,8 @@ void Scheme::host_read(Lsn lsn, std::uint32_t count, SimTime now,
 
   // Resolve every subpage, then coalesce consecutive same-page hits into
   // single page reads.
-  struct Resolved {
-    PhysicalAddress addr;  // invalid => unmapped
-    double ber;
-  };
-  std::vector<Resolved> resolved;
-  resolved.reserve(count);
+  std::vector<ResolvedRead>& resolved = read_scratch_;
+  resolved.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
     const Lsn cur = lsn + i;
     const PhysicalAddress addr = map_.lookup(cur);
@@ -714,8 +731,13 @@ void Scheme::check_consistency() const {
     std::uint32_t recount_valid = 0;
     std::uint32_t recount_invalid = 0;
     std::uint64_t recount_wt_sum = 0;
+    // Only SLC-mode blocks keep an age histogram; rebuild it from the rows.
+    const nand::AgeHistogram* hist = array_.age_histogram(b);
+    PPSSD_CHECK_MSG((hist != nullptr) == geom.is_slc_block(b),
+                    "age histogram present on an MLC block or missing on "
+                    "an SLC block");
     nand::AgeHistogram recount_hist;
-    recount_hist.clear(blk.age_histogram().base_ms());
+    if (hist != nullptr) recount_hist.clear(hist->base_ms());
     for (std::uint32_t p = 0; p < blk.page_count(); ++p) {
       const auto& page = blk.page(static_cast<PageId>(p));
       for (std::uint32_t s = 0; s < blk.subpages_per_page(); ++s) {
@@ -724,7 +746,9 @@ void Scheme::check_consistency() const {
         if (sp.state == nand::SubpageState::kInvalid) ++recount_invalid;
         if (sp.state != nand::SubpageState::kValid) continue;
         recount_wt_sum += sp.write_time_ms;
-        if (page.program_ops() == 1) recount_hist.add(sp.write_time_ms);
+        if (hist != nullptr && page.program_ops() == 1) {
+          recount_hist.add(sp.write_time_ms);
+        }
         ++recount_valid;
         ++valid_total;
         const Lsn lsn = sp.owner_lsn;
@@ -744,7 +768,7 @@ void Scheme::check_consistency() const {
     // The GC-score aggregates must agree with a from-scratch rebuild.
     PPSSD_CHECK_MSG(recount_wt_sum == blk.sum_write_time_ms(),
                     "running write-time sum is stale");
-    PPSSD_CHECK_MSG(recount_hist == blk.age_histogram(),
+    PPSSD_CHECK_MSG(hist == nullptr || recount_hist == *hist,
                     "age histogram disagrees with page state");
   }
   // Bijection: mapped LSNs == valid physical subpages (each valid subpage

@@ -37,6 +37,7 @@
 
 #include "cache/registry.h"
 #include "common/config.h"
+#include "common/huge_page_allocator.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "ecc/ber_model.h"
@@ -330,6 +331,13 @@ class Scheme {
   void flush_evictions(std::uint32_t plane, SimTime now,
                        std::vector<PhysOp>& ops);
 
+  /// Host write of `n` (at most a page's worth of) contiguous LSNs into a
+  /// fresh SLC page at `level` on the next round-robin plane. Bumps their
+  /// versions; when the SLC region has no page to give, rolls the bump
+  /// back and writes them directly to MLC instead.
+  void write_fresh_slc_page(Lsn lsn, std::uint32_t n, BlockLevel level,
+                            SimTime now, std::vector<PhysOp>& ops);
+
   /// Write host data directly to MLC (fallback when the SLC region cannot
   /// take another page even after GC).
   void direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
@@ -374,7 +382,7 @@ class Scheme {
   ecc::EccLatencyModel ecc_model_;
   ftl::GreedyPolicy greedy_;
   SchemeMetrics metrics_;
-  std::vector<std::uint32_t> versions_;
+  HugeVector<std::uint32_t> versions_;
   /// Trace log adopted from the attached bundle (null when disabled);
   /// subclasses may emit their own category-filtered events through it.
   telemetry::TraceLog* tlog_ = nullptr;
@@ -392,6 +400,14 @@ class Scheme {
     std::uint32_t version;
   };
   std::vector<StagedEviction> staged_evictions_;
+
+  /// host_read's per-subpage resolution, reused across calls so the read
+  /// path allocates nothing in steady state.
+  struct ResolvedRead {
+    PhysicalAddress addr;  // invalid => unmapped
+    double ber;
+  };
+  std::vector<ResolvedRead> read_scratch_;
 
   GcDecisionHook gc_decision_hook_;
   telemetry::introspect::FlightRecorder* flight_ = nullptr;

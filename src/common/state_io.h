@@ -41,8 +41,9 @@ class StateSink {
   }
 
   /// Flat vector of trivially copyable elements: u64 count + raw bytes.
-  template <typename T>
-  void vec(const std::vector<T>& v) {
+  /// Any allocator: the bytes depend only on the elements.
+  template <typename T, typename Alloc>
+  void vec(const std::vector<T, Alloc>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
     raw(v.data(), v.size() * sizeof(T));
@@ -96,7 +97,7 @@ class StateSource {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = u64();
     std::vector<T> v;
-    if (!take(n * sizeof(T))) return v;
+    if (!take(n * sizeof(T)) || n == 0) return v;
     v.resize(static_cast<std::size_t>(n));
     std::memcpy(v.data(), data_ + pos_ - n * sizeof(T), n * sizeof(T));
     return v;
@@ -107,9 +108,10 @@ class StateSource {
   /// hot restore path uses this for the multi-MB SoA rows — the
   /// destination arrays are already sized by the device constructor, so
   /// the bytes land in one memcpy with no temporary allocation or
-  /// zero-fill.
-  template <typename T>
-  bool vec_into(std::vector<T>& v) {
+  /// zero-fill. Any allocator, so huge-page tables (common/
+  /// huge_page_allocator.h) restore as the same single copy.
+  template <typename T, typename Alloc>
+  bool vec_into(std::vector<T, Alloc>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = u64();
     if (n != v.size()) {
@@ -117,7 +119,11 @@ class StateSource {
       return false;
     }
     if (!take(n * sizeof(T))) return false;
-    std::memcpy(v.data(), data_ + pos_ - n * sizeof(T), n * sizeof(T));
+    // memcpy's pointers must be non-null even for zero bytes, and an
+    // empty vector's data() may be null.
+    if (n > 0) {
+      std::memcpy(v.data(), data_ + pos_ - n * sizeof(T), n * sizeof(T));
+    }
     return true;
   }
 

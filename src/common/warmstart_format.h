@@ -31,7 +31,9 @@
 namespace ppssd::io::warmstart {
 
 inline constexpr char kMagic[9] = "PPSSDWRM";
-inline constexpr std::uint32_t kVersion = 1;
+/// v2: age histograms are kept for SLC-mode blocks only and written as one
+/// run after the per-block records (v1 carried one inside every record).
+inline constexpr std::uint32_t kVersion = 2;
 
 struct Header {
   std::string key;

@@ -5,32 +5,38 @@
 
 namespace ppssd::ecc {
 
-double BerModel::wear_scale(std::uint32_t pe) const {
-  return std::pow(static_cast<double>(pe) / cfg_.anchor_pe,
-                  cfg_.disturb_pe_exponent);
+BerModel::WearTerms BerModel::compute_wear_terms(std::uint32_t pe) const {
+  const double rel = static_cast<double>(pe) / cfg_.anchor_pe;
+  WearTerms t;
+  t.mlc_base = cfg_.mlc_anchor_ber *
+               (cfg_.fresh_fraction +
+                (1.0 - cfg_.fresh_fraction) * std::pow(rel, cfg_.pe_exponent));
+  t.scale = std::pow(rel, cfg_.disturb_pe_exponent);
+  return t;
 }
 
-double BerModel::base_ber(CellMode mode, std::uint32_t pe) const {
-  const double rel = static_cast<double>(pe) / cfg_.anchor_pe;
-  const double mlc = cfg_.mlc_anchor_ber *
-                     (cfg_.fresh_fraction +
-                      (1.0 - cfg_.fresh_fraction) * std::pow(rel, cfg_.pe_exponent));
-  return mode == CellMode::kSlc ? cfg_.slc_factor * mlc : mlc;
+BerModel::WearTerms BerModel::wear_terms(std::uint32_t pe) const {
+  if (pe >= kMemoLimit) return compute_wear_terms(pe);
+  if (pe >= memo_.size()) memo_.resize(pe + 1);
+  WearTerms& t = memo_[pe];
+  if (t.scale < 0.0) t = compute_wear_terms(pe);
+  return t;
 }
 
 double BerModel::raw_ber(const nand::DisturbSnapshot& snap) const {
-  const double scale = wear_scale(snap.pe_cycles);
-  const double a = cfg_.in_page_disturb_factor * scale;
-  const double b = cfg_.neighbor_disturb_factor * scale;
+  const WearTerms w = wear_terms(snap.pe_cycles);
+  const double a = cfg_.in_page_disturb_factor * w.scale;
+  const double b = cfg_.neighbor_disturb_factor * w.scale;
   const double r = snap.reprogrammed ? cfg_.reprogram_penalty : 0.0;
+  const double base =
+      snap.mode == CellMode::kSlc ? cfg_.slc_factor * w.mlc_base : w.mlc_base;
   const double ber =
-      base_ber(snap.mode, snap.pe_cycles) *
-      (1.0 + r + a * snap.in_page_disturbs + b * snap.neighbor_disturbs);
+      base * (1.0 + r + a * snap.in_page_disturbs + b * snap.neighbor_disturbs);
   return std::min(ber, 0.5);
 }
 
 double BerModel::conventional_ber(std::uint32_t pe_cycles) const {
-  return base_ber(CellMode::kMlc, pe_cycles);
+  return wear_terms(pe_cycles).mlc_base;
 }
 
 double BerModel::partial_ber(std::uint32_t pe_cycles,

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/check.h"
 #include "common/units.h"
 
 namespace ppssd::ftl {
@@ -76,15 +77,17 @@ std::pair<double, std::uint64_t> IsrPolicy::age_sum_exact(
   return {sum, valid};
 }
 
-double IsrPolicy::cold_weight(const nand::Block& block, SimTime now,
-                              double mean_age_ms) {
+double IsrPolicy::cold_weight(const nand::FlashArray& array, BlockId block,
+                              SimTime now, double mean_age_ms) {
+  const nand::AgeHistogram* hist = array.age_histogram(block);
+  PPSSD_CHECK_MSG(hist != nullptr, "ISR scores SLC-mode blocks only");
   if (mean_age_ms <= 0.0) return 0.0;
   const double now_ms = ns_to_ms(now);
   // One exp per occupied histogram bucket, each bucket's subpages
   // evaluated at their mean write time. The kernel is concave in the
   // write time, so this overestimates the exact sum by at most
   // count * (bucket width) / (2 * T) per bucket (see DESIGN.md).
-  return block.age_histogram().fold([&](double mean_wt_ms) {
+  return hist->fold([&](double mean_wt_ms) {
     return 1.0 - std::exp(-(now_ms - mean_wt_ms) / mean_age_ms);
   });
 }
@@ -113,10 +116,12 @@ double IsrPolicy::cold_weight_exact(const nand::FlashArray& array,
   return weight;
 }
 
-double IsrPolicy::isr(const nand::Block& block, SimTime now,
-                      double mean_age_ms) {
-  const double total = block.total_subpages();
-  return (block.invalid_subpages() + cold_weight(block, now, mean_age_ms)) /
+double IsrPolicy::isr(const nand::FlashArray& array, BlockId block,
+                      SimTime now, double mean_age_ms) {
+  const nand::Block& blk = array.block(block);
+  const double total = blk.total_subpages();
+  return (blk.invalid_subpages() +
+          cold_weight(array, block, now, mean_age_ms)) /
          total;
 }
 
@@ -150,9 +155,9 @@ BlockId IsrPolicy::select_victim(const nand::FlashArray& array,
   BlockId best = kInvalidBlock;
   double best_isr = 0.0;
   for (const BlockId b : scratch_) {
-    const auto& blk = array.block(b);
-    if (blk.programmed_subpages() == 0) continue;  // nothing to reclaim
-    const double v = isr(blk, now, mean_age);
+    // Nothing to reclaim in a block that was never programmed.
+    if (array.block(b).programmed_subpages() == 0) continue;
+    const double v = isr(array, b, now, mean_age);
     if (v > best_isr) {
       best = b;
       best_isr = v;

@@ -18,8 +18,9 @@
 // pages: Greedy answers from the BlockManager's invalid-count bucket index
 // in O(1), and ISR's per-block terms come from nand::Block running
 // aggregates — age_sum() is an O(1) identity over sum_write_time_ms() and
-// cold_weight() an O(kBuckets) fold over the block's age histogram (one
-// exp per occupied bucket instead of one per valid subpage; see
+// cold_weight() an O(kBuckets) fold over the block's age histogram, which
+// the FlashArray keeps for SLC-mode blocks only (one exp per occupied
+// bucket instead of one per valid subpage; see
 // DESIGN.md's GC-complexity section for the approximation bound). The
 // original full-scan forms survive as *_exact / select_victim_reference —
 // they define the semantics the fast paths are tested against and anchor
@@ -63,6 +64,8 @@ class GcPolicy {
   /// (scheme, region). The policy name is added automatically.
   void attach_telemetry(telemetry::MetricsRegistry& registry,
                         telemetry::Labels labels);
+  /// Drop the counter handles (the registry may be destroyed after this).
+  void detach_telemetry() { selected_ = exhausted_ = nullptr; }
 
  protected:
   /// Tally one select_victim() outcome (no-op until telemetry attaches).
@@ -113,18 +116,22 @@ class IsrPolicy final : public GcPolicy {
                                                 CellMode mode,
                                                 SimTime now) const;
 
-  /// ISR_i of Equation 1 for one block. `mean_age_ms` is T_i — the average
-  /// valid-subpage age the exponential is normalised by. The paper derives
-  /// it from "all subpages"; select_victim() computes it over the plane's
-  /// candidates so cold *blocks* score above equally-shaped hot ones.
-  [[nodiscard]] static double isr(const nand::Block& block, SimTime now,
+  /// ISR_i of Equation 1 for one SLC-mode block. `mean_age_ms` is T_i —
+  /// the average valid-subpage age the exponential is normalised by. The
+  /// paper derives it from "all subpages"; select_victim() computes it
+  /// over the plane's candidates so cold *blocks* score above
+  /// equally-shaped hot ones.
+  [[nodiscard]] static double isr(const nand::FlashArray& array,
+                                  BlockId block, SimTime now,
                                   double mean_age_ms);
 
   /// IS'_i of Equation 2 (the cold-valid weight term), evaluated in
   /// O(AgeHistogram::kBuckets) from the block's age histogram with each
-  /// bucket's subpages collapsed onto their mean write time.
-  [[nodiscard]] static double cold_weight(const nand::Block& block,
-                                          SimTime now, double mean_age_ms);
+  /// bucket's subpages collapsed onto their mean write time. Only SLC-mode
+  /// blocks carry a histogram; scoring an MLC block is a contract error.
+  [[nodiscard]] static double cold_weight(const nand::FlashArray& array,
+                                          BlockId block, SimTime now,
+                                          double mean_age_ms);
 
   /// (sum of valid-subpage ages in ms, valid count) — T_i building block.
   /// O(1): valid * now_ms - sum_write_time_ms.

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/huge_page_allocator.h"
 #include "common/state_io.h"
 #include "common/types.h"
 
@@ -52,18 +52,17 @@ class UpdateTracker {
     sink.vec(last_write_ms_);
   }
   void restore(io::StateSource& src) {
-    std::vector<std::uint8_t> counts = src.vec<std::uint8_t>();
-    std::vector<std::uint32_t> last = src.vec<std::uint32_t>();
-    PPSSD_CHECK_MSG(src.ok() && counts.size() == counts_.size() &&
-                        last.size() == last_write_ms_.size(),
+    // In place: both rows are sized by the LSN space, and vec_into
+    // sticky-fails on a length mismatch.
+    (void)src.vec_into(counts_);
+    (void)src.vec_into(last_write_ms_);
+    PPSSD_CHECK_MSG(src.ok(),
                     "warm-start checkpoint does not match tracker shape");
-    counts_ = std::move(counts);
-    last_write_ms_ = std::move(last);
   }
 
  private:
-  std::vector<std::uint8_t> counts_;
-  std::vector<std::uint32_t> last_write_ms_;
+  HugeVector<std::uint8_t> counts_;
+  HugeVector<std::uint32_t> last_write_ms_;
 };
 
 }  // namespace ppssd::ftl

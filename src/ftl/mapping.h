@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/huge_page_allocator.h"
 #include "common/state_io.h"
 #include "common/types.h"
 
@@ -114,7 +115,7 @@ class DeviceMap {
   };
   static_assert(sizeof(Packed) == 8, "DeviceMap entries should stay 8B");
 
-  std::vector<Packed> table_;
+  HugeVector<Packed> table_;
   std::uint64_t mapped_count_ = 0;
 };
 

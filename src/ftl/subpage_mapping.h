@@ -16,10 +16,10 @@
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/huge_page_allocator.h"
 #include "common/state_io.h"
 #include "common/types.h"
 #include "nand/geometry.h"
@@ -51,11 +51,12 @@ class SecondLevelTable {
     sink.u64(live_);
   }
   void restore(io::StateSource& src) {
-    std::vector<Lsn> slots = src.vec<Lsn>();
+    // In place: the table is sized by the geometry, and vec_into
+    // sticky-fails on a length mismatch.
+    (void)src.vec_into(slots_);
     const std::uint64_t live = src.u64();
-    PPSSD_CHECK_MSG(src.ok() && slots.size() == slots_.size(),
+    PPSSD_CHECK_MSG(src.ok(),
                     "warm-start checkpoint does not match MGA table shape");
-    slots_ = std::move(slots);
     live_ = live;
   }
 
@@ -65,7 +66,7 @@ class SecondLevelTable {
 
   std::uint32_t subpages_per_page_;
   std::uint32_t pages_per_block_;
-  std::vector<Lsn> slots_;
+  HugeVector<Lsn> slots_;
   std::uint64_t live_ = 0;
 };
 
@@ -129,7 +130,7 @@ class IpuOffsetTable {
                                   PageId page) const;
 
   std::uint32_t pages_per_block_;
-  std::vector<Tag> tags_;
+  HugeVector<Tag> tags_;
   std::uint64_t live_ = 0;
 };
 

@@ -24,9 +24,6 @@ void Block::erase(SimTime now) {
   valid_ = 0;
   invalid_ = 0;
   sum_write_time_ms_ = 0;
-  // Rebase the histogram on this erase so bucket widths are log-spaced in
-  // the block's own fill window (same ms truncation as the program path).
-  age_histogram_.clear(static_cast<std::uint32_t>(now / 1'000'000));
   ++erase_count_;
   last_erase_time_ = now;
 }

@@ -10,13 +10,16 @@
 // population so victim scoring never walks pages:
 //  * sum_write_time_ms() — sum of write times over *valid* subpages, so a
 //    policy can form sum-of-ages as valid * now_ms - sum_write_time_ms.
-//  * never_updated_valid() + age_histogram() — the valid subpages living
-//    in never-updated pages (the Eq. 2 cold-movement candidates), bucketed
-//    by log2(write time - last erase time) so an age-weighted sum is
-//    O(buckets).
-// All three are maintained incrementally at program / invalidate / erase
-// time and always equal a full rescan of the pages (see the invariant
-// walk in cache::Scheme::check_consistency).
+//  * For SLC-mode blocks only, an AgeHistogram of the valid subpages
+//    living in never-updated pages (the Eq. 2 cold-movement candidates),
+//    bucketed by log2(write time - last erase time) so an age-weighted sum
+//    is O(buckets). It is the one aggregate that is large (1616 B), and
+//    only ISR GC — which scores SLC victims only — reads it, so it lives
+//    in a FlashArray side table indexed by the block's SLC ordinal
+//    (FlashArray::age_histogram) instead of inline in every block.
+// Both are maintained incrementally at program / invalidate / erase time
+// and always equal a full rescan of the pages (see the invariant walk in
+// cache::Scheme::check_consistency).
 #pragma once
 
 #include <array>
@@ -204,14 +207,6 @@ class Block {
   [[nodiscard]] std::uint64_t sum_write_time_ms() const {
     return sum_write_time_ms_;
   }
-  /// Valid subpages living in never-updated pages (page_updated() false).
-  [[nodiscard]] std::uint32_t never_updated_valid() const {
-    return age_histogram_.total();
-  }
-  /// Write-time histogram over the never-updated valid subpages.
-  [[nodiscard]] const AgeHistogram& age_histogram() const {
-    return age_histogram_;
-  }
 
   [[nodiscard]] const Page& page(PageId p) const { return pages_[p]; }
   [[nodiscard]] Page& page(PageId p) { return pages_[p]; }
@@ -221,15 +216,21 @@ class Block {
   void erase(SimTime now);
 
  private:
-  /// The fused array-level paths update frontier, counters and the age
-  /// histogram directly in one pass over the touched slots.
+  /// The fused array-level paths update frontier and counters directly in
+  /// one pass over the touched slots.
   friend class FlashArray;
 
+  /// slc_ordinal_ of a block that is not in the SLC-mode region.
+  static constexpr std::uint32_t kNoSlcOrdinal = 0xffffffffu;
+
   std::vector<Page> pages_;
-  AgeHistogram age_histogram_;
   CellMode mode_;
   BlockLevel level_;
   std::uint32_t subpages_per_page_;
+  /// Geometry::slc_ordinal of an SLC-mode block (its age-histogram index
+  /// in the owning FlashArray), kNoSlcOrdinal otherwise. Cached here so
+  /// the invalidate path finds the histogram without re-deriving it.
+  std::uint32_t slc_ordinal_ = kNoSlcOrdinal;
   std::uint32_t frontier_ = 0;
   std::uint32_t valid_ = 0;
   std::uint32_t invalid_ = 0;
@@ -237,5 +238,6 @@ class Block {
   std::uint64_t sum_write_time_ms_ = 0;
   SimTime last_erase_time_ = 0;
 };
+static_assert(sizeof(Block) <= 80, "Block should stay a small hot record");
 
 }  // namespace ppssd::nand

@@ -22,6 +22,9 @@ FlashArray::FlashArray(const SsdConfig& cfg)
         geom_.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
     blocks_.emplace_back(mode, geom_.pages_per_block(mode),
                          geom_.subpages_per_page());
+    if (mode == CellMode::kSlc) {
+      blocks_.back().slc_ordinal_ = geom_.slc_ordinal(b);
+    }
     statics_.push_back(BlockStatic{
         geom_.plane_of(b), static_cast<std::uint16_t>(geom_.chip_of(b)),
         static_cast<std::uint16_t>(geom_.channel_of(b)), mode});
@@ -34,6 +37,7 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   sp_version_.assign(slots, 0);
   sp_programs_before_.assign(slots, 0);
   sp_neighbors_before_.assign(slots, 0);
+  slc_hist_.resize(geom_.slc_block_count());
 
   planes_.reserve(geom_.planes());
   for (std::uint32_t p = 0; p < geom_.planes(); ++p) {
@@ -58,16 +62,18 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   }
   const std::size_t base = slot_base_[b] + static_cast<std::size_t>(p) * spp_;
 
-  // Layer "block": frontier rule and the cold-population transition.
+  // Layer "block": frontier rule and the cold-population transition
+  // (SLC-mode blocks only carry the cold-population histogram).
   const std::uint8_t pre_ops = pg.program_ops_;
+  const bool slc = blk.mode() == CellMode::kSlc;
   if (pre_ops == 0) {
     PPSSD_CHECK_MSG(p == blk.frontier_, "out-of-order first program of a page");
     ++blk.frontier_;
-  } else if (pre_ops == 1) {
+  } else if (pre_ops == 1 && slc) {
     for (std::uint32_t s = 0; s < spp_; ++s) {
       if (sp_state_[base + s] ==
           static_cast<std::uint8_t>(SubpageState::kValid)) {
-        blk.age_histogram_.remove(sp_wtime_[base + s]);
+        slc_hist_[geom_.slc_ordinal(b)].remove(sp_wtime_[base + s]);
       }
     }
   }
@@ -96,8 +102,8 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   const auto n = static_cast<std::uint32_t>(writes.size());
   blk.valid_ += n;
   blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-  if (pre_ops == 0) {
-    blk.age_histogram_.add(wt, n);
+  if (pre_ops == 0 && slc) {
+    slc_hist_[geom_.slc_ordinal(b)].add(wt, n);
   }
 
   // Wordline adjacency: programming page p disturbs pages p-1 and p+1 of
@@ -146,7 +152,7 @@ void FlashArray::prefill_page(BlockId b, PageId p,
 
   const auto n = static_cast<std::uint32_t>(writes.size());
   blk.valid_ += n;
-  blk.age_histogram_.add(0, n);
+  if (AgeHistogram* hist = slc_histogram(blk)) hist->add(0, n);
 
   // Only the page behind the frontier can absorb this program; the page
   // ahead has never been programmed.
@@ -192,8 +198,8 @@ void FlashArray::invalidate_reference(BlockId b, PageId p, SubpageId s) {
   --blk.valid_;
   ++blk.invalid_;
   blk.sum_write_time_ms_ -= wt;
-  if (blk.pages_[p].program_ops() == 1) {
-    blk.age_histogram_.remove(wt);
+  if (blk.pages_[p].program_ops() == 1 && blk.mode() == CellMode::kSlc) {
+    slc_hist_[geom_.slc_ordinal(b)].remove(wt);
   }
   if (observer_ != nullptr) {
     observer_->on_subpage_invalidated(b, blk.invalid_);
@@ -206,6 +212,11 @@ void FlashArray::erase(BlockId b, SimTime now) {
   PPSSD_CHECK_MSG(blk.valid_subpages() == 0,
                   "erasing a block that still holds valid data");
   blk.erase(now);
+  // Rebase the histogram on this erase so bucket widths are log-spaced in
+  // the block's own fill window (same ms truncation as the program path).
+  if (AgeHistogram* hist = slc_histogram(blk)) {
+    hist->clear(static_cast<std::uint32_t>(now / 1'000'000));
+  }
   // Clear the block's SoA slot range back to the erased state.
   const std::size_t base = slot_base_[b];
   const std::size_t n = static_cast<std::size_t>(blk.page_count()) * spp_;
@@ -291,8 +302,9 @@ void FlashArray::save(io::StateSink& sink) const {
     sink.u32(blk.valid_);
     sink.u32(blk.invalid_);
     sink.u64(blk.sum_write_time_ms_);
-    blk.age_histogram_.save(sink);
   }
+  // The SLC blocks' age histograms, in SLC-ordinal order.
+  for (const AgeHistogram& hist : slc_hist_) hist.save(sink);
 
   for (const Plane& pl : planes_) {
     sink.u64(pl.programs());
@@ -350,13 +362,13 @@ void FlashArray::restore(io::StateSource& src) {
     blk.valid_ = src.u32();
     blk.invalid_ = src.u32();
     blk.sum_write_time_ms_ = src.u64();
-    blk.age_histogram_.restore(src);
     PPSSD_CHECK_MSG(
         blk.frontier_ <= blk.page_count() &&
             blk.valid_ + blk.invalid_ <=
                 static_cast<std::uint64_t>(blk.frontier_) * spp_,
         "warm-start checkpoint block aggregates out of shape");
   }
+  for (AgeHistogram& hist : slc_hist_) hist.restore(src);
 
   for (Plane& pl : planes_) {
     const std::uint64_t programs = src.u64();

@@ -12,6 +12,8 @@
 // walk are stored as structure-of-arrays rows (one flat vector per field,
 // indexed by a precomputed per-block slot base) so a state scan touches
 // one densely packed row instead of striding over interleaved structs.
+// Every per-slot and per-block table sits on 2 MiB pages (HugeVector,
+// DESIGN.md §16): the write path hits them in random order.
 // The layer-by-layer chains survive as program_reference()/
 // invalidate_reference() oracles, held state-identical by
 // tests/nand/fused_path_test.cpp. Contract invariants (write-once,
@@ -27,6 +29,7 @@
 
 #include "common/check.h"
 #include "common/config.h"
+#include "common/huge_page_allocator.h"
 #include "common/types.h"
 #include "nand/block.h"
 #include "nand/chip.h"
@@ -180,8 +183,8 @@ class FlashArray {
   /// neighbour disturb. Returns true if it was a partial program.
   ///
   /// Fused single-pass implementation: subpage rows, page counters, block
-  /// aggregates, the age histogram and array counters update in one walk
-  /// over `writes`.
+  /// aggregates, the age histogram (SLC blocks) and array counters update
+  /// in one walk over `writes`.
   bool program(BlockId b, PageId p, std::span<const SlotWrite> writes,
                SimTime now) {
     PPSSD_DCHECK(b < blocks_.size());
@@ -190,6 +193,7 @@ class FlashArray {
     PPSSD_DCHECK(p < blk.page_count());
     Page& pg = blk.pages_[p];
     const std::size_t base = slot_base_[b] + static_cast<std::size_t>(p) * spp_;
+    AgeHistogram* hist = slc_histogram(blk);
     const std::uint8_t pre_ops = pg.program_ops_;
     if (pre_ops == 0) {
       // First program of a page must land on the write frontier: NAND
@@ -200,13 +204,13 @@ class FlashArray {
     } else {
       PPSSD_CHECK_MSG(pre_ops < cfg_.cache.max_partial_programs,
                       "partial-program limit exceeded or no free slot");
-      if (pre_ops == 1) {
+      if (pre_ops == 1 && hist != nullptr) {
         // The page transitions to "updated": its valid subpages leave the
         // cold (never-updated) population tracked by the age histogram.
         for (std::uint32_t s = 0; s < spp_; ++s) {
           if (sp_state_[base + s] ==
               static_cast<std::uint8_t>(SubpageState::kValid)) {
-            blk.age_histogram_.remove(sp_wtime_[base + s]);
+            hist->remove(sp_wtime_[base + s]);
           }
         }
       }
@@ -233,8 +237,8 @@ class FlashArray {
     const auto n = static_cast<std::uint32_t>(writes.size());
     blk.valid_ += n;
     blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-    if (pre_ops == 0) {
-      blk.age_histogram_.add(wt, n);
+    if (pre_ops == 0 && hist != nullptr) {
+      hist->add(wt, n);
     }
 
     // Wordline adjacency: programming page p disturbs pages p-1 and p+1
@@ -310,7 +314,8 @@ class FlashArray {
   [[nodiscard]] bool can_partial_program(BlockId b, PageId p) const;
 
   /// Fused invalidate: one slot lookup updates the state row, block
-  /// aggregates, the age histogram and the observer in a single pass.
+  /// aggregates, the age histogram (SLC blocks) and the observer in a
+  /// single pass.
   void invalidate(BlockId b, PageId p, SubpageId s) {
     PPSSD_DCHECK(b < blocks_.size());
     Block& blk = blocks_[b];
@@ -328,7 +333,7 @@ class FlashArray {
     ++blk.invalid_;
     blk.sum_write_time_ms_ -= wt;
     if (blk.pages_[p].program_ops_ == 1) {
-      blk.age_histogram_.remove(wt);
+      if (AgeHistogram* hist = slc_histogram(blk)) hist->remove(wt);
     }
     if (observer_ != nullptr) {
       observer_->on_subpage_invalidated(b, blk.invalid_);
@@ -359,6 +364,16 @@ class FlashArray {
     return snap;
   }
 
+  /// Write-time histogram over the never-updated valid subpages of SLC-mode
+  /// block `b` (the Eq. 2 cold-movement candidates ISR GC weighs), or
+  /// nullptr when `b` is an MLC block: no policy scores dense victims by
+  /// age, so MLC blocks keep no histogram.
+  [[nodiscard]] const AgeHistogram* age_histogram(BlockId b) const {
+    PPSSD_DCHECK(b < blocks_.size());
+    const std::uint32_t ord = blocks_[b].slc_ordinal_;
+    return ord == Block::kNoSlcOrdinal ? nullptr : &slc_hist_[ord];
+  }
+
   [[nodiscard]] const ArrayCounters& counters() const { return counters_; }
 
   /// Zero the aggregate operation counters (per-block wear is preserved).
@@ -373,7 +388,7 @@ class FlashArray {
   void set_block_observer(BlockObserver* observer) { observer_ = observer; }
 
   /// Serialize the complete mutable array state (SoA rows, per-page and
-  /// per-block counters, wear, histograms, operation counters) for the
+  /// per-block counters, wear, SLC histograms, operation counters) for the
   /// warm-start checkpoint. Geometry/config are not written — the restore
   /// target must be constructed from the same SsdConfig.
   void save(io::StateSink& sink) const;
@@ -383,10 +398,18 @@ class FlashArray {
   void restore(io::StateSource& src);
 
  private:
+  [[nodiscard]] AgeHistogram* slc_histogram(const Block& blk) {
+    return blk.slc_ordinal_ == Block::kNoSlcOrdinal
+               ? nullptr
+               : &slc_hist_[blk.slc_ordinal_];
+  }
+
   SsdConfig cfg_;
   Geometry geom_;
-  std::vector<Block> blocks_;
-  std::vector<BlockStatic> statics_;
+  HugeVector<Block> blocks_;
+  HugeVector<BlockStatic> statics_;
+  /// Age histograms of the SLC-mode blocks, indexed by slc_ordinal.
+  HugeVector<AgeHistogram> slc_hist_;
   std::vector<Plane> planes_;
   std::vector<Chip> chips_;
   ArrayCounters counters_;
@@ -396,13 +419,13 @@ class FlashArray {
   // slot_base_[b] + page * spp_ + slot; slot_base_ is precomputed per
   // block because pages-per-block differs between cell modes.
   std::uint32_t spp_ = 0;
-  std::vector<std::size_t> slot_base_;
-  std::vector<std::uint8_t> sp_state_;
-  std::vector<std::uint32_t> sp_owner_;
-  std::vector<std::uint32_t> sp_wtime_;
-  std::vector<std::uint32_t> sp_version_;
-  std::vector<std::uint8_t> sp_programs_before_;
-  std::vector<std::uint16_t> sp_neighbors_before_;
+  HugeVector<std::size_t> slot_base_;
+  HugeVector<std::uint8_t> sp_state_;
+  HugeVector<std::uint32_t> sp_owner_;
+  HugeVector<std::uint32_t> sp_wtime_;
+  HugeVector<std::uint32_t> sp_version_;
+  HugeVector<std::uint8_t> sp_programs_before_;
+  HugeVector<std::uint16_t> sp_neighbors_before_;
 };
 
 }  // namespace ppssd::nand

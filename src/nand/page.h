@@ -91,9 +91,12 @@ class Page {
   /// over the touched slots instead of one per layer).
   friend class FlashArray;
 
-  std::uint8_t program_ops_ = 0;
+  // Widest field first: in declaration order (u8, u16, bool) the u16's
+  // alignment padded the page to 6 bytes.
   std::uint16_t neighbor_programs_ = 0;
+  std::uint8_t program_ops_ = 0;
   bool reprogrammed_ = false;
 };
+static_assert(sizeof(Page) == 4, "Page counters should pack into 4 bytes");
 
 }  // namespace ppssd::nand

@@ -121,15 +121,6 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
     bs.valid_subpages = p.u32();
     bs.invalid_subpages = p.u32();
     (void)p.u64();  // sum_write_time_ms
-    // Skip the sparse age histogram: base_ms, then n (bucket, count, sum)
-    // entries.
-    (void)p.u32();
-    const std::uint32_t hist_n = p.u32();
-    for (std::uint32_t i = 0; p.ok() && i < hist_n; ++i) {
-      (void)p.u16();
-      (void)p.u32();
-      (void)p.u64();
-    }
     if (!p.ok() || frontier > pages) {
       return fail(error, "block record truncated or out of shape");
     }
@@ -147,6 +138,19 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
   }
   if (page_cursor != pg_reprogrammed.size()) {
     return fail(error, "page rows extend past the last block");
+  }
+  // Skip the SLC blocks' sparse age histograms: each is base_ms, then n
+  // (bucket, count, sum) entries.
+  const std::uint64_t slc_blocks =
+      static_cast<std::uint64_t>(h.slc_blocks_per_plane) * h.planes;
+  for (std::uint64_t b = 0; p.ok() && b < slc_blocks; ++b) {
+    (void)p.u32();
+    const std::uint32_t hist_n = p.u32();
+    for (std::uint32_t i = 0; p.ok() && i < hist_n; ++i) {
+      (void)p.u16();
+      (void)p.u32();
+      (void)p.u64();
+    }
   }
   for (std::uint32_t pl = 0; pl < h.planes; ++pl) {
     (void)p.u64();  // programs

@@ -3,9 +3,11 @@
 // thresholds, and cell-mode ratios — not just the paper's Table 2 point.
 #include <gtest/gtest.h>
 
-#include <string_view>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "cache/registry.h"
 #include "cache/scheme.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -13,7 +15,13 @@
 namespace ppssd::cache {
 namespace {
 
-constexpr const char* kSweepSchemes[] = {"Baseline", "MGA", "IPU"};
+/// Every registered scheme, in registry order; a test parameter is an
+/// index into this list.
+const std::vector<std::string>& sweep_schemes() {
+  static const std::vector<std::string> names =
+      SchemeRegistry::instance().names();
+  return names;
+}
 
 struct SweepPoint {
   std::uint32_t max_partial_programs;
@@ -47,7 +55,7 @@ TEST_P(ConfigSweep, MixedWorkloadStaysConsistent) {
   cfg.cache.gc_interleave_ops = 0;
   ASSERT_TRUE(cfg.validate().empty()) << cfg.validate();
 
-  auto scheme = make_scheme(kSweepSchemes[scheme_idx], cfg);
+  auto scheme = make_scheme(sweep_schemes()[scheme_idx], cfg);
   Rng rng(500 + scheme_idx * 7 + point_idx);
   std::vector<PhysOp> ops;
   SimTime now = 0;
@@ -89,23 +97,25 @@ TEST_P(ConfigSweep, MixedWorkloadStaysConsistent) {
 
 std::string sweep_name(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  return std::string(kSweepSchemes[std::get<0>(info.param)]) + "_cfg" +
+  return sweep_schemes()[std::get<0>(info.param)] + "_cfg" +
          std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesTimesConfigs, ConfigSweep,
-    ::testing::Combine(::testing::Values(0, 1, 2),
-                       ::testing::Values(0, 1, 2, 3, 4)),
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(sweep_schemes().size())),
+        ::testing::Values(0, 1, 2, 3, 4)),
     sweep_name);
 
 TEST(ConfigSweepEdge, SinglePartialProgramDegeneratesGracefully) {
   // max_partial_programs = 1 forbids ALL partial programming: MGA loses
-  // aggregation, IPU loses intra-page updates — both must still work.
+  // aggregation, IPU loses intra-page updates — every scheme must still
+  // work.
   SsdConfig cfg = SsdConfig::scaled(1024);
   cfg.cache.max_partial_programs = 1;
   cfg.cache.gc_interleave_ops = 0;
-  for (const char* name : {"Baseline", "MGA", "IPU"}) {
+  for (const std::string& name : sweep_schemes()) {
     auto scheme = make_scheme(name, cfg);
     std::vector<PhysOp> ops;
     SimTime now = 0;
@@ -117,7 +127,7 @@ TEST(ConfigSweepEdge, SinglePartialProgramDegeneratesGracefully) {
     }
     scheme->check_consistency();
     EXPECT_EQ(scheme->array().counters().partial_program_ops, 0u) << name;
-    if (std::string_view(name) == "IPU") {
+    if (name == "IPU") {
       EXPECT_EQ(scheme->metrics().intra_page_updates, 0u);
     }
   }

@@ -4,7 +4,9 @@
 // and end-to-end result equivalence of cold vs warm run_experiment.
 #include "core/warmstart.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -152,6 +154,13 @@ TEST_F(WarmStartCacheCorruption, BadMagicIsAMiss) {
 TEST_F(WarmStartCacheCorruption, StaleContainerVersionIsAMiss) {
   std::vector<std::uint8_t> bad = good_;
   bad[8] ^= 0xff;  // container_version is the u32 right after the magic
+  write_bytes(path_, bad);
+  expect_miss();
+  // A file in the previous layout (version 1, an age histogram in every
+  // block record) is rejected by the header check alone.
+  bad = good_;
+  const std::uint32_t v1 = 1;
+  std::memcpy(bad.data() + 8, &v1, sizeof v1);
   write_bytes(path_, bad);
   expect_miss();
 }

@@ -80,10 +80,10 @@ TEST(GreedyPolicy, NoVictimWhenNothingInvalid) {
 }
 
 TEST(IsrPolicy, ColdWeightZeroForEmptyBlock) {
-  nand::Block blk(CellMode::kSlc, 8, 4);
-  EXPECT_EQ(IsrPolicy::cold_weight(blk, ms_to_ns(1000), 100.0), 0.0);
-  EXPECT_EQ(IsrPolicy::isr(blk, ms_to_ns(1000), 100.0), 0.0);
-  EXPECT_EQ(IsrPolicy::age_sum(blk, ms_to_ns(1000)).second, 0u);
+  const nand::FlashArray arr(small_config());
+  EXPECT_EQ(IsrPolicy::cold_weight(arr, 0, ms_to_ns(1000), 100.0), 0.0);
+  EXPECT_EQ(IsrPolicy::isr(arr, 0, ms_to_ns(1000), 100.0), 0.0);
+  EXPECT_EQ(IsrPolicy::age_sum(arr.block(0), ms_to_ns(1000)).second, 0u);
 }
 
 TEST(IsrPolicy, ColdWeightGrowsWithAge) {
@@ -98,15 +98,15 @@ TEST(IsrPolicy, ColdWeightGrowsWithAge) {
   const auto [s1, c1] = IsrPolicy::age_sum(arr.block(0), now);
   const auto [s2, c2] = IsrPolicy::age_sum(arr.block(b2), now);
   const double mean = (s1 + s2) / static_cast<double>(c1 + c2);
-  EXPECT_GT(IsrPolicy::cold_weight(arr.block(0), now, mean),
-            IsrPolicy::cold_weight(arr.block(b2), now, mean));
+  EXPECT_GT(IsrPolicy::cold_weight(arr, 0, now, mean),
+            IsrPolicy::cold_weight(arr, b2, now, mean));
 }
 
 TEST(IsrPolicy, UpdatedPagesExcludedFromColdWeight) {
   nand::FlashArray arr(small_config());
   fill_block(arr, 0, 4, 0);
   const double before =
-      IsrPolicy::cold_weight(arr.block(0), ms_to_ns(1000), 500.0);
+      IsrPolicy::cold_weight(arr, 0, ms_to_ns(1000), 500.0);
 
   // Same fill but every page receives a partial program ("updated").
   const BlockId b2 = arr.geometry().slc_block_at(1);
@@ -117,7 +117,7 @@ TEST(IsrPolicy, UpdatedPagesExcludedFromColdWeight) {
     arr.program(b2, static_cast<PageId>(p), upd, 0);
   }
   EXPECT_GT(before, 0.0);
-  EXPECT_EQ(IsrPolicy::cold_weight(arr.block(b2), ms_to_ns(1000), 500.0),
+  EXPECT_EQ(IsrPolicy::cold_weight(arr, b2, ms_to_ns(1000), 500.0),
             0.0);
 }
 
@@ -145,14 +145,14 @@ TEST(IsrPolicy, IsrCombinesInvalidAndColdTerms) {
   const auto [s1, c1] = IsrPolicy::age_sum(arr.block(0), now);
   const auto [s2, c2] = IsrPolicy::age_sum(arr.block(b2), now);
   const double mean = (s1 + s2) / static_cast<double>(c1 + c2);
-  EXPECT_GT(IsrPolicy::isr(arr.block(b2), now, mean),
-            IsrPolicy::isr(arr.block(0), now, mean));
+  EXPECT_GT(IsrPolicy::isr(arr, b2, now, mean),
+            IsrPolicy::isr(arr, 0, now, mean));
 }
 
 TEST(IsrPolicy, IsrBounded) {
   nand::FlashArray arr(small_config());
   fill_block(arr, 0, 16, 0);
-  const double isr = IsrPolicy::isr(arr.block(0), ms_to_ns(1'000'000), 10.0);
+  const double isr = IsrPolicy::isr(arr, 0, ms_to_ns(1'000'000), 10.0);
   // IS=0, IS' <= valid count: ISR <= used/total <= 1.
   EXPECT_GE(isr, 0.0);
   EXPECT_LE(isr, 1.0);
@@ -185,12 +185,12 @@ TEST_P(IsrMonotonicity, MoreInvalidNeverLowersIsr) {
   nand::FlashArray arr(small_config());
   fill_block(arr, 0, 8, 0);
   const SimTime now = ms_to_ns(10'000);
-  double prev = IsrPolicy::isr(arr.block(0), now, 5000.0);
+  double prev = IsrPolicy::isr(arr, 0, now, 5000.0);
   const std::uint32_t invalidate = GetParam();
   for (std::uint32_t i = 0; i < invalidate; ++i) {
     arr.invalidate(0, static_cast<PageId>(i / 4),
                    static_cast<SubpageId>(i % 4));
-    const double cur = IsrPolicy::isr(arr.block(0), now, 5000.0);
+    const double cur = IsrPolicy::isr(arr, 0, now, 5000.0);
     EXPECT_GE(cur + 1e-9, prev);
     prev = cur;
   }
@@ -244,7 +244,7 @@ TEST(GcEquivalence, BucketedColdWeightTracksExact) {
   for (const BlockId b : f.blocks) {
     const auto [sum, n] = IsrPolicy::age_sum_exact(f.arr, b, now);
     const double mean = n ? sum / static_cast<double>(n) : 0.0;
-    const double opt = IsrPolicy::cold_weight(f.arr.block(b), now, mean);
+    const double opt = IsrPolicy::cold_weight(f.arr, b, now, mean);
     const double ref = IsrPolicy::cold_weight_exact(f.arr, b, now, mean);
     // The bucketed fold evaluates the concave kernel at per-bucket mean
     // write times; with sub-octave buckets the error stays well under 1%.

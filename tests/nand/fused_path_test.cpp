@@ -8,9 +8,10 @@
 // one the reference oracles — and asserts the complete observable state
 // stays identical at every step: per-subpage fields (owner, version,
 // write time, disturb snapshots), page counters, block running
-// aggregates including the age histogram, array counters, and the
-// BlockObserver event stream. prefill_page is additionally locked to a
-// frontier-fill through the reference path at sim time 0.
+// aggregates including the SLC blocks' age histograms (and the absence
+// of one on every MLC block), array counters, and the BlockObserver
+// event stream. prefill_page is additionally locked to a frontier-fill
+// through the reference path at sim time 0.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -47,9 +48,16 @@ void expect_same_state(const FlashArray& fused, const FlashArray& ref) {
     ASSERT_EQ(fb.invalid_subpages(), rb.invalid_subpages()) << "block " << b;
     ASSERT_EQ(fb.sum_write_time_ms(), rb.sum_write_time_ms())
         << "block " << b;
-    ASSERT_EQ(fb.never_updated_valid(), rb.never_updated_valid())
-        << "block " << b;
-    ASSERT_TRUE(fb.age_histogram() == rb.age_histogram()) << "block " << b;
+    // SLC-mode blocks carry an age histogram and both paths must agree on
+    // it; MLC blocks must hold none on either side.
+    const AgeHistogram* fh = fused.age_histogram(b);
+    const AgeHistogram* rh = ref.age_histogram(b);
+    ASSERT_EQ(fh != nullptr, geom.is_slc_block(b)) << "block " << b;
+    ASSERT_EQ(rh != nullptr, geom.is_slc_block(b)) << "block " << b;
+    if (fh != nullptr) {
+      ASSERT_EQ(fh->total(), rh->total()) << "block " << b;
+      ASSERT_TRUE(*fh == *rh) << "block " << b;
+    }
     ASSERT_EQ(fb.erase_count(), rb.erase_count()) << "block " << b;
     ASSERT_EQ(fb.last_erase_time(), rb.last_erase_time()) << "block " << b;
     for (PageId p = 0; p < fb.page_count(); ++p) {
