@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "nand/page.h"
+
 namespace ppssd {
 
 SsdConfig SsdConfig::paper() { return SsdConfig{}; }
@@ -49,9 +51,12 @@ std::string SsdConfig::validate() const {
         << ") must be a positive multiple of plane count (" << g.planes()
         << "); ";
   }
-  if (g.page_bytes == 0 || g.subpage_bytes == 0 ||
-      g.page_bytes % g.subpage_bytes != 0) {
-    err << "page_bytes must be a positive multiple of subpage_bytes; ";
+  if (g.page_bytes == 0 || g.page_bytes % kSubpageBytes != 0) {
+    err << "page_bytes must be a positive multiple of " << kSubpageBytes
+        << "; ";
+  } else if (g.subpages_per_page() > nand::kMaxSubpagesPerPage) {
+    err << "page_bytes (" << g.page_bytes << ") holds more than "
+        << nand::kMaxSubpagesPerPage << " subpages; ";
   }
   if (g.pages_per_slc_block == 0 || g.pages_per_mlc_block == 0) {
     err << "pages per block must be nonzero; ";

@@ -27,7 +27,6 @@ struct GeometryConfig {
   std::uint32_t pages_per_mlc_block = 128;  // Table 2: SLC/MLC Page 64/128
   std::uint32_t pages_per_slc_block = 64;
   std::uint32_t page_bytes = 16 * kKiB;  // Table 2: Page size
-  std::uint32_t subpage_bytes = static_cast<std::uint32_t>(kSubpageBytes);
 
   [[nodiscard]] std::uint32_t planes() const {
     return channels * chips_per_channel * dies_per_chip * planes_per_die;
@@ -36,7 +35,7 @@ struct GeometryConfig {
     return channels * chips_per_channel;
   }
   [[nodiscard]] std::uint32_t subpages_per_page() const {
-    return page_bytes / subpage_bytes;
+    return page_bytes / static_cast<std::uint32_t>(kSubpageBytes);
   }
   [[nodiscard]] std::uint64_t mlc_capacity_bytes() const {
     return static_cast<std::uint64_t>(total_blocks) * pages_per_mlc_block *

@@ -125,24 +125,4 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult run_experiment(
     const ExperimentSpec& spec, perf::ProgressSink* progress = nullptr);
 
-/// Resolve the effective intra-run shard count (DESIGN.md §15) from a
-/// PPSSD_SHARDS value: unset/invalid = 1 (sequential), 0 = auto
-/// (hardware / jobs). The result is clamped to the device's channel
-/// count, and — when the experiment matrix itself runs in parallel
-/// (jobs > 1) — clamped so jobs × shards never exceeds the machine's
-/// hardware threads (one stderr note the first time that fires). With
-/// jobs == 1 an explicit shard count is honoured even above the
-/// hardware thread count, so sharded determinism can be validated on
-/// any machine.
-[[nodiscard]] std::uint32_t resolve_shard_count(const char* env_value,
-                                                std::uint32_t channels,
-                                                std::uint32_t jobs,
-                                                std::uint32_t hardware);
-
-/// Experiment-matrix parallelism currently configured (Runner::run_all
-/// records the resolved PPSSD_JOBS here before dispatching); composes
-/// with PPSSD_SHARDS through resolve_shard_count().
-void set_parallel_jobs(std::size_t jobs);
-[[nodiscard]] std::size_t parallel_jobs();
-
 }  // namespace ppssd::core

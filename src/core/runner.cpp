@@ -105,11 +105,6 @@ std::vector<ExperimentResult> Runner::run_all(
       telemetry::introspect::IntrospectOptions::from_env().any()) {
     jobs = 1;
   }
-  // Record the matrix parallelism so per-cell shard resolution
-  // (PPSSD_SHARDS; resolve_shard_count) can cap jobs x shards at the
-  // machine's hardware threads.
-  set_parallel_jobs(jobs);
-
   perf::ProgressReporter::global().set_expected_cells(specs.size());
   std::vector<ExperimentResult> results(specs.size());
   if (jobs <= 1 || specs.size() <= 1) {

@@ -128,11 +128,4 @@ struct BenchComparison {
                                             const BenchReport& current,
                                             double tolerance);
 
-/// Shard-scaling table (DESIGN.md §15) over the report's shard cell
-/// families: every group of keys "<group>/s<N>" that includes an s1
-/// cell renders one row per shard count with the speedup over s1 and
-/// the scaling efficiency (speedup / N). Returns "" when the report has
-/// no such family, so callers can print the result unconditionally.
-[[nodiscard]] std::string render_shard_scaling(const BenchReport& report);
-
 }  // namespace ppssd::perf

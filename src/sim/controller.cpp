@@ -44,8 +44,6 @@ void Controller::reset() {
   std::fill(chip_occupancy_.begin(), chip_occupancy_.end(), SimTime{0});
   usage_ = Usage{};
   scheduled_ops_ = 0;
-  clock_ = 0;
-  while (!inflight_.empty()) inflight_.pop();
   // Horizons are zero again: stale claims would break interval coverage.
   if (attrib_) attrib_->reset_resources();
 }
@@ -100,15 +98,17 @@ SimTime Controller::schedule(const cache::PhysOp& op, SimTime ready) {
   PPSSD_CHECK(op.chip < lanes_.size());
   PPSSD_CHECK(op.channel < channel_busy_.size());
   OpOutcome out;
-  price(op, ready, lanes_[op.chip].busy_until, lanes_[op.chip].erase_until,
-        channel_busy_[op.channel], out);
-  return commit(op, out);
+  price(op, ready, out);
+  commit(op, out);
+  return out.end;
 }
 
 void Controller::price(const cache::PhysOp& op, SimTime ready,
-                       SimTime& lane_busy, SimTime& lane_erase,
-                       SimTime& chan_busy, OpOutcome& out) const {
+                       OpOutcome& out) {
   using Kind = cache::PhysOp::Kind;
+  SimTime& lane_busy = lanes_[op.chip].busy_until;
+  SimTime& lane_erase = lanes_[op.chip].erase_until;
+  SimTime& chan_busy = channel_busy_[op.channel];
   out.ready = ready;
   // Horizons before this op claims them — the attribution ledger charges
   // wait intervals against the *previous* occupancy.
@@ -173,22 +173,13 @@ void Controller::price(const cache::PhysOp& op, SimTime ready,
   }
 }
 
-SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
+void Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
   using Kind = cache::PhysOp::Kind;
-  advance_to(out.ready);
-
-  ChipLane& lane = lanes_[op.chip];
   const SimTime ready = out.ready;
   const SimTime end = out.end;
-  // Writing the priced horizons back is idempotent on the sequential path
-  // (price already advanced the controller's own references) and is what
-  // re-synchronises the controller when the outcome was priced against a
-  // shard executor's mirrored horizons.
   switch (op.kind) {
     case Kind::kRead: {
       const SimTime sense_start = out.svc_start;
-      lane.busy_until = out.sense_end;
-      channel_busy_[op.channel] = out.xfer_end;
       (op.background ? usage_.read_bg : usage_.read_fg) +=
           out.sense_end - sense_start;
       chip_occupancy_[op.chip] += out.sense_end - sense_start;
@@ -229,8 +220,6 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
     }
     case Kind::kProgram: {
       const SimTime prog_start = out.svc_start;
-      channel_busy_[op.channel] = out.xfer_end;
-      lane.busy_until = end;
       (op.background ? usage_.program_bg : usage_.program_fg) +=
           end - prog_start;
       chip_occupancy_[op.chip] += end - prog_start;
@@ -266,7 +255,6 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
     }
     case Kind::kReprogram: {
       const SimTime start = out.svc_start;
-      lane.busy_until = end;
       (op.background ? usage_.program_bg : usage_.program_fg) += end - start;
       chip_occupancy_[op.chip] += end - start;
       if (attrib_) {
@@ -297,7 +285,6 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
     }
     case Kind::kErase: {
       const SimTime start = out.svc_start;
-      lane.erase_until = end;
       usage_.erase_bg += end - start;
       chip_occupancy_[op.chip] += end - start;
       if (attrib_) {
@@ -344,32 +331,6 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
   }
 
   ++scheduled_ops_;
-  inflight_.push(end, op.chip);
-  return end;
-}
-
-void Controller::apply_window(const WindowAggregate& agg) {
-  PPSSD_CHECK(agg.lane_busy != nullptr && agg.lane_erase != nullptr &&
-              agg.chan_busy != nullptr && agg.occupancy_delta != nullptr);
-  for (std::size_t c = 0; c < lanes_.size(); ++c) {
-    lanes_[c].busy_until = agg.lane_busy[c];
-    lanes_[c].erase_until = agg.lane_erase[c];
-    chip_occupancy_[c] += agg.occupancy_delta[c];
-  }
-  for (std::size_t ch = 0; ch < channel_busy_.size(); ++ch) {
-    channel_busy_[ch] = agg.chan_busy[ch];
-  }
-  usage_.read_fg += agg.usage.read_fg;
-  usage_.read_bg += agg.usage.read_bg;
-  usage_.program_fg += agg.usage.program_fg;
-  usage_.program_bg += agg.usage.program_bg;
-  usage_.erase_bg += agg.usage.erase_bg;
-  scheduled_ops_ += agg.ops;
-  // One aggregated retirement event stands in for the window's commands:
-  // advance_to(cutoff) keeps its max(clock, cutoff) behaviour, and the
-  // final advance_to(kNoTime) still lands the clock on the last
-  // completion, exactly where the per-op events would have left it.
-  if (agg.ops > 0) inflight_.push(agg.retire_max, 0);
 }
 
 }  // namespace ppssd::sim

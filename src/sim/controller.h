@@ -1,5 +1,5 @@
-// Event-driven flash controller: per-chip command lanes, a simulation
-// clock, and dependency-aware command scheduling.
+// Event-driven flash controller: per-chip command lanes and
+// dependency-aware command scheduling.
 //
 // The controller owns the device's timing resources. Each chip lane
 // executes one array operation (read sense / program pulse) at a time;
@@ -17,16 +17,10 @@
 // claimed on its lane and channel. Because callers submit commands in
 // arrival order, this eager per-command scheduling is exactly equivalent
 // to a lazy event-driven dispatch with FIFO resource queues — while
-// keeping the hot path allocation-free and bit-reproducible.
-//
-// Completion *delivery* is event-driven: every scheduled command pushes a
-// retirement event into a stable EventQueue; advance_to(now) moves the
-// controller clock forward and retires everything that finished, so
-// callers (Ssd, Replayer) can observe in-flight command counts and
-// harvest host-request completions out of submission order.
+// keeping the hot path allocation-free and bit-reproducible. Completion
+// delivery to the host is the Ssd's host completion queue.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +28,6 @@
 #include "common/config.h"
 #include "ecc/latency_model.h"
 #include "nand/timing.h"
-#include "sim/event_queue.h"
 #include "telemetry/telemetry.h"
 
 namespace ppssd::sim {
@@ -50,64 +43,6 @@ class Controller {
   /// controller-side ECC decode).
   SimTime schedule(const cache::PhysOp& op, SimTime ready);
 
-  /// Everything price() derives for one command: the resolved horizons it
-  /// consumed (for the attribution ledger's wait intervals) and the
-  /// per-leg times commit() replays into the instrumentation. Pricing is
-  /// pure horizon arithmetic, so an OpOutcome computed against mirrored
-  /// horizons (sim/shard_executor.h) is bit-identical to the sequential
-  /// one.
-  struct OpOutcome {
-    SimTime ready = 0;      // resolved start floor handed to price()
-    SimTime lane_was = 0;   // lane busy horizon before this op claimed it
-    SimTime erase_was = 0;  // erase horizon before this op
-    SimTime svc_start = 0;  // array-occupancy start (sense/pulse/erase)
-    SimTime sense_end = 0;  // reads: end of the array sense
-    SimTime xfer_start = 0; // reads/programs: channel leg start
-    SimTime xfer_end = 0;   // reads/programs: channel leg end
-    SimTime ecc_ns = 0;     // reads: controller-side decode cost
-    SimTime end = 0;        // completion time
-  };
-
-  /// Pure pricing half of schedule(): advance the caller-supplied lane /
-  /// channel horizons exactly as schedule() would advance the
-  /// controller's own, and fill `out`. Reads only the immutable timing
-  /// and ECC models, so concurrent calls are safe as long as no two
-  /// touch the same horizon references — the shard executor's
-  /// partitioning invariant.
-  void price(const cache::PhysOp& op, SimTime ready, SimTime& lane_busy,
-             SimTime& lane_erase, SimTime& chan_busy, OpOutcome& out) const;
-
-  /// Bookkeeping half of schedule(): apply a priced outcome to the
-  /// controller's own horizons and run every observer exactly as the
-  /// sequential path would (usage, occupancy, telemetry counters, blame
-  /// ledger, trace spans, flight recorder, retirement event). Commits
-  /// must arrive in the same order schedule() calls would have — that
-  /// replay order is what keeps instrumentation bit-identical.
-  SimTime commit(const cache::PhysOp& op, const OpOutcome& out);
-
-  [[nodiscard]] std::uint32_t chip_count() const {
-    return static_cast<std::uint32_t>(lanes_.size());
-  }
-  [[nodiscard]] std::uint32_t channel_count() const {
-    return static_cast<std::uint32_t>(channel_busy_.size());
-  }
-
-  /// Advance the controller clock, retiring every in-flight command that
-  /// completes at or before `now` (kNoTime retires everything).
-  /// Header-inline: called once per scheduled op and once per host
-  /// request, and the common case — nothing to retire yet — is a single
-  /// front-of-queue compare (DESIGN.md §10).
-  void advance_to(SimTime now) {
-    SimTime last = clock_;
-    inflight_.drain_until(now, [&](const auto& ev) { last = ev.time; });
-    // kNoTime means "retire everything"; the clock lands on the last
-    // retirement instead of the sentinel.
-    clock_ = std::max(clock_, now == kNoTime ? last : now);
-  }
-
-  [[nodiscard]] SimTime clock() const { return clock_; }
-  /// Commands scheduled but not yet retired by advance_to().
-  [[nodiscard]] std::size_t inflight_ops() const { return inflight_.size(); }
   /// Total commands scheduled since construction / reset(). This is the
   /// denominator-free "controller events" count the wall-clock perf layer
   /// divides by measured seconds (events/s); deterministic per replay.
@@ -115,9 +50,6 @@ class Controller {
 
   [[nodiscard]] SimTime chip_free_at(std::uint32_t chip) const {
     return lanes_[chip].busy_until;
-  }
-  [[nodiscard]] SimTime channel_free_at(std::uint32_t ch) const {
-    return channel_busy_[ch];
   }
 
   /// Decode latency the model charges for a read op (exposed for tests).
@@ -135,39 +67,6 @@ class Controller {
     }
   };
   [[nodiscard]] const Usage& usage() const { return usage_; }
-
-  /// Fast-path window merge for runs with no observers attached (see
-  /// has_observers): one call folds a whole priced window into the
-  /// controller — final horizons, usage / occupancy deltas, command
-  /// count, and a single aggregated retirement event at the window's
-  /// latest completion. Every result-visible quantity (integer sums,
-  /// horizon state, clock after a full drain) lands on exactly the
-  /// values per-op commits would produce; only the in-flight event
-  /// granularity is coarser (one retirement per window instead of one
-  /// per command).
-  struct WindowAggregate {
-    Usage usage;
-    std::uint64_t ops = 0;
-    SimTime retire_max = 0;
-    const SimTime* lane_busy = nullptr;   // [chip_count] final horizons
-    const SimTime* lane_erase = nullptr;  // [chip_count]
-    const SimTime* chan_busy = nullptr;   // [channel_count]
-    const SimTime* occupancy_delta = nullptr;  // [chip_count]
-  };
-  void apply_window(const WindowAggregate& agg);
-
-  /// True when any order-sensitive observer is attached (blame ledger,
-  /// trace log, flight recorder, or metric counters): windowed execution
-  /// must then replay per-op commits sequentially instead of taking the
-  /// aggregate fast path.
-  [[nodiscard]] bool has_observers() const {
-    return attrib_ != nullptr || trace_ != nullptr || flight_ != nullptr ||
-           tl_chip_wait_ != nullptr;
-  }
-
-  [[nodiscard]] SimTime chip_erase_free_at(std::uint32_t chip) const {
-    return lanes_[chip].erase_until;
-  }
 
   /// Accumulated array-op occupancy per chip (ns) — load-balance probe.
   [[nodiscard]] const std::vector<SimTime>& chip_occupancy() const {
@@ -198,6 +97,28 @@ class Controller {
     SimTime erase_until = 0;
   };
 
+  /// Everything price() derives for one command: the horizons it
+  /// consumed (for the attribution ledger's wait intervals) and the
+  /// per-leg times commit() books into the instrumentation.
+  struct OpOutcome {
+    SimTime ready = 0;      // resolved start floor handed to price()
+    SimTime lane_was = 0;   // lane busy horizon before this op claimed it
+    SimTime erase_was = 0;  // erase horizon before this op
+    SimTime svc_start = 0;  // array-occupancy start (sense/pulse/erase)
+    SimTime sense_end = 0;  // reads: end of the array sense
+    SimTime xfer_start = 0; // reads/programs: channel leg start
+    SimTime xfer_end = 0;   // reads/programs: channel leg end
+    SimTime ecc_ns = 0;     // reads: controller-side decode cost
+    SimTime end = 0;        // completion time
+  };
+
+  /// Timing half of schedule(): advance the op's lane and channel
+  /// horizons and fill `out`.
+  void price(const cache::PhysOp& op, SimTime ready, OpOutcome& out);
+  /// Bookkeeping half of schedule(): usage, occupancy, telemetry
+  /// counters, blame ledger, trace spans and flight recorder.
+  void commit(const cache::PhysOp& op, const OpOutcome& out);
+
   nand::TimingModel timing_;
   ecc::EccLatencyModel ecc_;
   std::vector<ChipLane> lanes_;
@@ -205,8 +126,6 @@ class Controller {
   std::vector<SimTime> chip_occupancy_;
   Usage usage_;
   std::uint64_t scheduled_ops_ = 0;
-  SimTime clock_ = 0;
-  EventQueue<std::uint32_t> inflight_;  // retirement events, payload = chip
 
   // Telemetry handles (null until attached). Counter index is
   // [kind][mode] for read/program, erase is mode-independent.

@@ -1,12 +1,12 @@
 // Time-ordered min-heap of (time, payload) events with stable ordering:
 // events that carry the same timestamp pop in push (FIFO) order. Stability
-// is what makes replays bit-reproducible — the controller completion queue
-// and multi-stream trace merges must not depend on heap internals to break
+// is what makes replays bit-reproducible — the host completion queue and
+// multi-stream trace merges must not depend on heap internals to break
 // timestamp ties.
 //
-// The replayer uses it to deliver request completions in simulation-time
-// order against arrivals (out-of-order host completions, device queue-depth
-// statistics); the controller uses it to retire in-flight flash commands.
+// The Ssd's host completion queue is one: the replayer harvests request
+// completions from it in simulation-time order against arrivals
+// (out-of-order host completions, device queue-depth statistics).
 #pragma once
 
 #include <cstdint>

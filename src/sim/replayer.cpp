@@ -94,85 +94,16 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
   };
 
   std::array<trace::TraceRecord, kBatch> batch;
-  if (ssd_->windowed()) {
-    // Sharded windowed replay (DESIGN.md §15): admit requests in windows
-    // (phase A — scheme state advances, ops are staged), then flush each
-    // window (phase B — sharded pricing, sequential retirement). The
-    // callbacks below replay exactly the accounting submit_one does
-    // around its enqueue() call, in the same per-request order.
-    const std::function<void(const Ssd::WinReq&)> before =
-        [&](const Ssd::WinReq& r) {
-          ssd_->drain_completions(r.arrival, harvest);
-          if (r.arrival > prev_event) {
-            depth_integral += static_cast<double>(depth) *
-                              static_cast<double>(r.arrival - prev_event);
-            prev_event = r.arrival;
-          }
-          at_arrival_sum += static_cast<double>(depth);
-          result.max_queue_depth = std::max(result.max_queue_depth, depth);
-          if (first_arrival == kNoTime) first_arrival = r.arrival;
-        };
-    const std::function<void(const Ssd::WinReq&, const Ssd::Completion&)>
-        after = [&](const Ssd::WinReq& r, const Ssd::Completion& done) {
-          ++depth;
-          result.makespan = std::max(result.makespan, done.drained);
-          ++result.requests;
-          if (progress_ != nullptr && (result.requests & kProgressMask) == 0) {
-            progress_->advance(result.requests);
-          }
-          if (tel != nullptr) {
-            inflight->set(static_cast<double>(depth));
-            const double ms = ns_to_ms(done.latency());
-            const bool read = r.op == OpType::kRead;
-            if (tlog != nullptr &&
-                tlog->enabled(telemetry::TraceCategory::kHost)) {
-              tlog->span(telemetry::TraceCategory::kHost,
-                         read ? "host_read" : "host_write", r.arrival,
-                         done.finish, telemetry::kHostLane,
-                         {{"bytes", static_cast<double>(r.size)},
-                          {"queue_depth", static_cast<double>(depth)},
-                          {"latency_ms", ms}});
-            }
-            tel->on_request(r.arrival);
-          }
-        };
-    std::uint64_t submitted = 0;
-    for (;;) {
-      std::size_t want = batch.size();
-      if (max_requests != 0) {
-        want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(want, max_requests - submitted));
-      }
-      if (want == 0) break;
-      const std::size_t got = src.next_batch(std::span(batch.data(), want));
-      if (got == 0) break;
-      for (std::size_t i = 0; i < got; ++i) {
-        const auto& rec = batch[i];
-        ssd_->enqueue_window(rec.op, rec.offset, rec.size, rec.arrival);
-        ++submitted;
-        // Snapshot frames walk scheme state, which advances at admission
-        // — ticking here keeps the stream byte-identical to the
-        // sequential replay.
-        if (snapshot_ != nullptr) snapshot_->tick(rec.arrival);
-        if (ssd_->window_requests() >= kWindowRequests ||
-            ssd_->window_wants_flush()) {
-          ssd_->flush_window(before, after);
-        }
-      }
+  for (;;) {
+    std::size_t want = batch.size();
+    if (max_requests != 0) {
+      want = static_cast<std::size_t>(
+          std::min<std::uint64_t>(want, max_requests - result.requests));
     }
-    ssd_->flush_window(before, after);
-  } else {
-    for (;;) {
-      std::size_t want = batch.size();
-      if (max_requests != 0) {
-        want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(want, max_requests - result.requests));
-      }
-      if (want == 0) break;
-      const std::size_t got = src.next_batch(std::span(batch.data(), want));
-      if (got == 0) break;
-      for (std::size_t i = 0; i < got; ++i) submit_one(batch[i]);
-    }
+    if (want == 0) break;
+    const std::size_t got = src.next_batch(std::span(batch.data(), want));
+    if (got == 0) break;
+    for (std::size_t i = 0; i < got; ++i) submit_one(batch[i]);
   }
 
   // Source exhausted: harvest every remaining completion.

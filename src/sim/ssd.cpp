@@ -1,7 +1,6 @@
 #include "sim/ssd.h"
 
 #include <algorithm>
-#include <span>
 
 #include "common/check.h"
 #include "common/state_io.h"
@@ -15,8 +14,8 @@ Ssd::Ssd(const SsdConfig& cfg, std::string_view scheme_name)
 
 Ssd::Ssd(const SsdConfig& cfg, std::unique_ptr<cache::Scheme> scheme)
     : scheme_(std::move(scheme)),
-      service_(cfg, scheme_->array().chip_count(),
-               scheme_->array().geometry().channels()) {
+      ctrl_(cfg, scheme_->array().chip_count(),
+            scheme_->array().geometry().channels()) {
   PPSSD_CHECK(scheme_ != nullptr);
 }
 
@@ -31,42 +30,22 @@ void Ssd::attach_telemetry(telemetry::Telemetry* telemetry) {
     attrib_->attach_registry(&telemetry->registry(), scheme_->name());
   }
   scheme_->attach_telemetry(telemetry);
-  service_.attach_telemetry(telemetry);
+  ctrl_.attach_telemetry(telemetry);
 }
 
 void Ssd::attach_introspection(telemetry::introspect::Snapshotter* snap) {
   if (snap == nullptr) {
-    controller().set_flight_recorder(nullptr);
+    ctrl_.set_flight_recorder(nullptr);
     scheme_->set_flight_recorder(nullptr);
-    scheme_flight_ = nullptr;
     return;
   }
   snap->bind(*scheme_);
-  controller().set_flight_recorder(snap->flight());
+  ctrl_.set_flight_recorder(snap->flight());
   scheme_->set_flight_recorder(snap->flight());
-  scheme_flight_ = snap->flight();
-  if (executor_ != nullptr && scheme_flight_ != nullptr && !staging_) {
-    staging_ = std::make_unique<telemetry::introspect::FlightRecorder>(
-        kFlightStagingCapacity);
-    win_flight_base_ = 0;
-  }
-}
-
-void Ssd::set_shard_executor(ShardExecutor* exec) {
-  PPSSD_CHECK_MSG(win_reqs_.empty() && win_items_.empty(),
-                  "cannot swap shard executors with an open window");
-  executor_ = exec;
-  win_def_begin_ = deferred_.size();
-  if (executor_ != nullptr && scheme_flight_ != nullptr && !staging_) {
-    staging_ = std::make_unique<telemetry::introspect::FlightRecorder>(
-        kFlightStagingCapacity);
-    win_flight_base_ = 0;
-  }
 }
 
 void Ssd::reset_timing() {
-  PPSSD_CHECK_MSG(win_reqs_.empty(), "reset_timing with an open window");
-  service_.reset();
+  ctrl_.reset();
   // Unharvested completions carry pre-reset finish times.
   pending_.drain_until(kNoTime, [](const auto&) {});
   // Pending deferred ops may reference finish times from before the reset;
@@ -91,7 +70,7 @@ SimTime Ssd::schedule_deferred(Deferred& d, SimTime now) {
     PPSSD_CHECK_MSG(dep.scheduled, "deferred dependency scheduled out of order");
     ready = std::max(ready, dep.finish);
   }
-  d.finish = service_.controller().schedule(d.op, ready);
+  d.finish = ctrl_.schedule(d.op, ready);
   d.scheduled = true;
   return d.finish;
 }
@@ -99,8 +78,6 @@ SimTime Ssd::schedule_deferred(Deferred& d, SimTime now) {
 Ssd::Completion Ssd::do_submit(OpType op, std::uint64_t offset,
                                std::uint32_t size, SimTime arrival) {
   PPSSD_CHECK(size > 0);
-  PPSSD_CHECK_MSG(win_reqs_.empty(),
-                  "synchronous submit with an open admission window");
   const std::uint64_t total = scheme_->array().geometry().logical_subpages();
 
   // Subpage-align and wrap into the logical space.
@@ -126,27 +103,20 @@ Ssd::Completion Ssd::do_submit(OpType op, std::uint64_t offset,
   // vector (background ops accrue to the interference matrix only).
   if (attrib_) attrib_->begin_request(done.id, op, arrival);
 
-  // GC interleaving: the controller gives host commands priority and
-  // spreads background flash work across subsequent requests rather than
-  // monopolising chips in one burst. Logical state already advanced in
-  // the scheme; only the command *scheduling* is deferred.
-  const std::uint32_t interleave = config().cache.gc_interleave_ops;
-  if (interleave == 0) {
-    const auto outcome = service_.service(ops_, arrival);
-    done.finish = outcome.foreground_end;
-    done.drained = outcome.background_end;
-    if (attrib_) attrib_->finish_request(done.finish);
-    return done;
-  }
-
-  // Schedule this request's foreground commands immediately; queue its
-  // background commands, then drain a bounded slice of the backlog.
+  // GC interleaving (gc_interleave_ops > 0): the controller gives host
+  // commands priority and spreads background flash work across
+  // subsequent requests rather than monopolising chips in one burst.
+  // Logical state already advanced in the scheme; only the command
+  // *scheduling* of background ops is deferred. Every other op is
+  // scheduled now, in issue order.
+  //
   // Dependency edges (PhysOp::depends_on, request-local indices) are
-  // translated here: an edge to a foreground op becomes a resolved finish
-  // time, an edge to a deferred op becomes a deferred-queue index that the
-  // FIFO drain resolves when the dependency is scheduled.
-  Controller& ctrl = service_.controller();
+  // translated here: an edge to a scheduled op becomes a resolved finish
+  // time, an edge to a deferred op becomes a deferred-queue index that
+  // the FIFO drain resolves when the dependency is scheduled.
+  const std::uint32_t interleave = config().cache.gc_interleave_ops;
   SimTime fg_end = arrival;
+  SimTime bg_end = arrival;
   op_finish_.clear();
   op_deferred_.clear();
   for (const auto& o : ops_) {
@@ -158,21 +128,22 @@ Ssd::Completion Ssd::do_submit(OpType op, std::uint64_t offset,
       dep_entry = op_deferred_[o.depends_on];
       if (dep_entry == kNoEntry) dep_finish = op_finish_[o.depends_on];
     }
-    if (o.background) {
+    if (o.background && interleave > 0) {
       op_deferred_.push_back(deferred_.size());
       op_finish_.push_back(0);
       deferred_.push_back(Deferred{o, dep_finish, dep_entry});
     } else {
       PPSSD_CHECK_MSG(dep_entry == kNoEntry,
                       "foreground op cannot depend on a deferred op");
-      const SimTime end =
-          ctrl.schedule(o, std::max(arrival, dep_finish));
-      fg_end = std::max(fg_end, end);
+      const SimTime end = ctrl_.schedule(o, std::max(arrival, dep_finish));
+      SimTime& until = o.background ? bg_end : fg_end;
+      until = std::max(until, end);
       op_deferred_.push_back(kNoEntry);
       op_finish_.push_back(end);
     }
   }
-  SimTime bg_end = arrival;
+
+  // Drain a bounded slice of the backlog (empty without interleaving).
   std::uint32_t budget = interleave;
   // Never let the backlog grow unboundedly: drain faster when it piles up.
   budget = std::max<std::uint32_t>(
@@ -212,7 +183,6 @@ Ssd::Completion Ssd::enqueue(OpType op, std::uint64_t offset,
 }
 
 SimTime Ssd::drain_background(SimTime now) {
-  PPSSD_CHECK_MSG(win_reqs_.empty(), "drain_background with an open window");
   SimTime end = now;
   while (deferred_head_ < deferred_.size()) {
     end = std::max(end, schedule_deferred(deferred_[deferred_head_], now));
@@ -220,214 +190,12 @@ SimTime Ssd::drain_background(SimTime now) {
   }
   deferred_.clear();
   deferred_head_ = 0;
-  win_def_begin_ = 0;
   return end;
-}
-
-void Ssd::enqueue_window(OpType op, std::uint64_t offset, std::uint32_t size,
-                         SimTime arrival) {
-  PPSSD_CHECK(executor_ != nullptr);
-  PPSSD_CHECK(size > 0);
-  const std::uint64_t total = scheme_->array().geometry().logical_subpages();
-
-  // Same subpage-align-and-wrap as do_submit.
-  Lsn lsn = (offset / kSubpageBytes) % total;
-  auto count = static_cast<std::uint32_t>(
-      bytes_to_subpages(offset % kSubpageBytes + size));
-  count = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(count, total - lsn));
-
-  WinReq r;
-  r.id = next_request_id_++;
-  r.op = op;
-  r.arrival = arrival;
-  r.size = size;
-  r.first_item = static_cast<std::uint32_t>(win_items_.size());
-
-  // Stage the scheme's flight events (GC decisions) so the ordered merge
-  // at flush time lands them exactly where the sequential stream has
-  // them: before this request's op begin/finish events.
-  if (staging_) {
-    r.flight_begin = staging_->recorded();
-    scheme_->set_flight_recorder(staging_.get());
-  }
-  ops_.clear();
-  if (op == OpType::kWrite) {
-    scheme_->host_write(lsn, count, arrival, ops_);
-  } else {
-    scheme_->host_read(lsn, count, arrival, ops_);
-  }
-  if (staging_) {
-    r.flight_end = staging_->recorded();
-    scheme_->set_flight_recorder(scheme_flight_);
-    PPSSD_CHECK_MSG(r.flight_end - r.flight_begin <= staging_->capacity(),
-                    "flight staging ring overflowed within one request");
-  }
-
-  const std::uint32_t interleave = config().cache.gc_interleave_ops;
-  if (interleave == 0) {
-    // Synchronous service semantics: every op (foreground and background)
-    // of this request is staged in issue order with its dependency as a
-    // window edge — the windowed twin of ServiceModel::service().
-    for (const auto& o : ops_) {
-      ShardExecutor::WinItem it{o, arrival, ShardExecutor::kNoDep};
-      if (o.depends_on != cache::PhysOp::kNoDependency) {
-        PPSSD_CHECK_MSG(
-            r.first_item + o.depends_on < win_items_.size(),
-            "depends_on must reference an earlier op");
-        it.dep = r.first_item + o.depends_on;
-      }
-      win_items_.push_back(it);
-      win_def_.push_back(kNoEntry);
-    }
-  } else {
-    // GC interleaving: stage foreground ops now, queue background ops,
-    // then claim a bounded slice of the backlog into the window — the
-    // same admission order and drain budget as the sequential do_submit,
-    // all of it phase-A state, so the op stream is identical.
-    op_item_.clear();
-    op_deferred_.clear();
-    for (const auto& o : ops_) {
-      std::size_t dep_entry = kNoEntry;
-      std::uint32_t dep_item = ShardExecutor::kNoDep;
-      if (o.depends_on != cache::PhysOp::kNoDependency) {
-        PPSSD_CHECK_MSG(o.depends_on < op_item_.size(),
-                        "depends_on must reference an earlier op");
-        dep_entry = op_deferred_[o.depends_on];
-        if (dep_entry == kNoEntry) dep_item = op_item_[o.depends_on];
-      }
-      if (o.background) {
-        Deferred d{o, 0, dep_entry};
-        d.dep_win = dep_item;  // fg dep staged this window (or kNoDep)
-        op_deferred_.push_back(deferred_.size());
-        op_item_.push_back(ShardExecutor::kNoDep);
-        deferred_.push_back(d);
-      } else {
-        PPSSD_CHECK_MSG(dep_entry == kNoEntry,
-                        "foreground op cannot depend on a deferred op");
-        op_deferred_.push_back(kNoEntry);
-        op_item_.push_back(static_cast<std::uint32_t>(win_items_.size()));
-        win_items_.push_back({o, arrival, dep_item});
-        win_def_.push_back(kNoEntry);
-      }
-    }
-    std::uint32_t budget = std::max<std::uint32_t>(
-        interleave,
-        static_cast<std::uint32_t>(deferred_background_ops() / 64));
-    while (budget-- > 0 && deferred_head_ < deferred_.size()) {
-      Deferred& d = deferred_[deferred_head_];
-      SimTime floor = arrival;
-      std::uint32_t dep = ShardExecutor::kNoDep;
-      if (d.dep_win != ShardExecutor::kNoDep) {
-        dep = d.dep_win;  // fg dependency staged earlier this window
-      } else {
-        floor = std::max(floor, d.dep_finish);
-      }
-      if (d.dep_entry != kNoEntry) {
-        const Deferred& dd = deferred_[d.dep_entry];
-        if (dd.scheduled) {
-          floor = std::max(floor, dd.finish);
-        } else {
-          PPSSD_CHECK_MSG(dd.win_item != ShardExecutor::kNoDep,
-                          "deferred dependency scheduled out of order");
-          dep = dd.win_item;
-        }
-      }
-      d.win_item = static_cast<std::uint32_t>(win_items_.size());
-      win_items_.push_back({d.op, floor, dep});
-      win_def_.push_back(deferred_head_);
-      ++deferred_head_;
-    }
-    // Compaction waits for the flush: win_def_ entries and dep_entry
-    // edges hold live indices into deferred_ until the priced finishes
-    // are written back.
-  }
-  r.num_items = static_cast<std::uint32_t>(win_items_.size()) - r.first_item;
-  win_reqs_.push_back(r);
-}
-
-void Ssd::flush_window(
-    const std::function<void(const WinReq&)>& before,
-    const std::function<void(const WinReq&, const Completion&)>& after) {
-  if (win_reqs_.empty()) return;
-  Controller& ctrl = service_.controller();
-  executor_->price_window(ctrl, win_items_, win_out_);
-  // With no observer attached, every result-visible controller quantity
-  // is an order-independent sum or a final horizon: fold the whole
-  // window in one merge. Otherwise replay per-op commits in submission
-  // order below, which keeps every instrumentation stream bit-identical
-  // to the sequential run.
-  const bool fast = !ctrl.has_observers();
-  if (fast) ctrl.apply_window(executor_->aggregate());
-
-  for (const WinReq& r : win_reqs_) {
-    if (before) before(r);
-    if (staging_ && scheme_flight_ != nullptr) {
-      for (std::uint64_t e = r.flight_begin; e < r.flight_end; ++e) {
-        scheme_flight_->record(staging_->event_at(e));
-      }
-    }
-    if (attrib_) attrib_->begin_request(r.id, r.op, r.arrival);
-    SimTime fg_end = r.arrival;
-    SimTime bg_end = r.arrival;
-    const std::uint32_t hi = r.first_item + r.num_items;
-    for (std::uint32_t k = r.first_item; k < hi; ++k) {
-      if (!fast) ctrl.commit(win_items_[k].op, win_out_[k]);
-      const SimTime end = win_out_[k].end;
-      if (win_items_[k].op.background) {
-        bg_end = std::max(bg_end, end);
-      } else {
-        fg_end = std::max(fg_end, end);
-      }
-    }
-    Completion done;
-    done.id = r.id;
-    done.start = r.arrival;
-    done.finish = fg_end;
-    done.drained = std::max(fg_end, bg_end);
-    if (attrib_) attrib_->finish_request(done.finish);
-    HostCompletion host;
-    host.id = r.id;
-    host.op = r.op;
-    host.arrival = r.arrival;
-    host.finish = done.finish;
-    host.drained = done.drained;
-    pending_.push(done.finish, host);
-    if (after) after(r, done);
-  }
-
-  // Write the priced finishes back into the backlog entries this window
-  // claimed, and resolve the window-local dependency fields of entries
-  // that stay queued (their fg dependency's end is now known).
-  for (std::size_t k = 0; k < win_items_.size(); ++k) {
-    if (win_def_[k] == kNoEntry) continue;
-    Deferred& d = deferred_[win_def_[k]];
-    d.finish = win_out_[k].end;
-    d.scheduled = true;
-    d.win_item = ShardExecutor::kNoDep;
-  }
-  for (std::size_t s = win_def_begin_; s < deferred_.size(); ++s) {
-    Deferred& d = deferred_[s];
-    if (d.dep_win != ShardExecutor::kNoDep) {
-      d.dep_finish = std::max(d.dep_finish, win_out_[d.dep_win].end);
-      d.dep_win = ShardExecutor::kNoDep;
-    }
-  }
-  if (deferred_head_ == deferred_.size()) {
-    deferred_.clear();
-    deferred_head_ = 0;
-  }
-  win_def_begin_ = deferred_.size();
-  win_items_.clear();
-  win_def_.clear();
-  win_reqs_.clear();
-  if (staging_) win_flight_base_ = staging_->recorded();
 }
 
 void Ssd::save(io::StateSink& sink) const {
   PPSSD_CHECK_MSG(pending_.empty(),
                   "checkpointing with unharvested host completions");
-  PPSSD_CHECK_MSG(win_reqs_.empty(), "checkpointing with an open window");
   scheme_->save(sink);
   sink.u64(next_request_id_);
   sink.u64(deferred_head_);

@@ -1,18 +1,19 @@
 // The simulated SSD: cache scheme + flash array + event-driven controller,
 // behind a byte-addressed host interface.
 //
-// Two submission paths share one controller:
-//  * submit()  — synchronous: generate ops, schedule them, return the
-//    completion record immediately (unit tests, warm-up helpers).
-//  * enqueue() — pipelined: same scheduling, but the completion is also
-//    pushed into a host completion queue keyed by finish time, so the
-//    replayer can harvest completions in *completion order* against later
-//    arrivals — true device queue depth and out-of-order host completions
-//    (a short read on an idle chip overtakes a long GC-laden write).
+// Every request is priced the same way: the scheme turns it into
+// physical ops, and do_submit() schedules them one at a time on the
+// controller in issue order. Two entry points share that path:
+//  * submit()  — synchronous: return the completion record immediately
+//    (unit tests, warm-up helpers).
+//  * enqueue() — pipelined: the completion is also pushed into a host
+//    completion queue keyed by finish time, so the replayer can harvest
+//    completions in *completion order* against later arrivals — true
+//    device queue depth and out-of-order host completions (a short read
+//    on an idle chip overtakes a long GC-laden write).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -20,9 +21,8 @@
 #include "cache/scheme.h"
 #include "common/config.h"
 #include "common/types.h"
+#include "sim/controller.h"
 #include "sim/event_queue.h"
-#include "sim/service_model.h"
-#include "sim/shard_executor.h"
 #include "telemetry/introspect/format.h"
 
 namespace ppssd::telemetry::introspect {
@@ -68,69 +68,11 @@ class Ssd {
   Completion enqueue(OpType op, std::uint64_t offset, std::uint32_t size,
                      SimTime arrival);
 
-  // ---- windowed submission (sharded pricing; DESIGN.md §15) ------------
-  //
-  // With a shard executor attached, the replayer admits requests in two
-  // phases: enqueue_window() advances the scheme's *logical* state and
-  // stages the request's physical ops (phase A), and flush_window()
-  // prices the whole window across shards, then retires it request by
-  // request in submission order (phase B). Every result-visible quantity
-  // is bit-identical to the sequential submit path.
-
-  /// One admitted-but-not-yet-priced host request of the open window.
-  struct WinReq {
-    std::uint64_t id = 0;
-    OpType op = OpType::kRead;
-    SimTime arrival = 0;
-    std::uint32_t size = 0;  // host bytes (telemetry span payload)
-    std::uint32_t first_item = 0;
-    std::uint32_t num_items = 0;
-    // Staged scheme flight events (GC decisions) recorded during this
-    // request's phase A, merged into the real recorder at flush time.
-    std::uint64_t flight_begin = 0;
-    std::uint64_t flight_end = 0;
-  };
-
-  /// Attach (or detach, with null) the shard executor that prices
-  /// admission windows. Must be called with no window open; the executor
-  /// must outlive the device or be detached first.
-  void set_shard_executor(ShardExecutor* exec);
-  [[nodiscard]] bool windowed() const { return executor_ != nullptr; }
-
-  /// Phase A: advance the scheme and stage the request's ops into the
-  /// open window. Nothing is priced or retired until flush_window().
-  void enqueue_window(OpType op, std::uint64_t offset, std::uint32_t size,
-                      SimTime arrival);
-
-  /// Requests admitted to the open window so far.
-  [[nodiscard]] std::size_t window_requests() const {
-    return win_reqs_.size();
-  }
-
-  /// True when the window should flush early: the flight staging ring is
-  /// half full, and waiting longer risks overwriting unmerged events.
-  [[nodiscard]] bool window_wants_flush() const {
-    return staging_ != nullptr &&
-           (staging_->recorded() - win_flight_base_) * 2 >=
-               staging_->capacity();
-  }
-
-  /// Phase B: price the open window across shards, then per request in
-  /// submission order: `before(req)` (the replayer drains completions up
-  /// to the arrival there), staged flight merge, blame-ledger bracket,
-  /// op commits, completion-queue push, `after(req, done)`. The
-  /// callbacks must not submit new requests. No-op on an empty window.
-  void flush_window(
-      const std::function<void(const WinReq&)>& before,
-      const std::function<void(const WinReq&, const Completion&)>& after);
-
   /// Pop every pending completion with finish <= cutoff, in completion
   /// order (ties by submission order), invoking fn(const HostCompletion&).
-  /// Also advances the controller clock.
   template <typename Fn>
   void drain_completions(SimTime cutoff, Fn&& fn) {
     pending_.drain_until(cutoff, [&](auto ev) { fn(ev.payload); });
-    service_.controller().advance_to(cutoff);
   }
 
   /// Requests enqueued but not yet harvested.
@@ -145,11 +87,10 @@ class Ssd {
 
   /// Clear chip/channel lanes (used between warm-up and measurement).
   void reset_timing();
-  [[nodiscard]] const ServiceModel& service_model() const { return service_; }
-  [[nodiscard]] Controller& controller() { return service_.controller(); }
-  [[nodiscard]] const Controller& controller() const {
-    return service_.controller();
-  }
+  [[nodiscard]] Controller& controller() { return ctrl_; }
+  [[nodiscard]] const Controller& controller() const { return ctrl_; }
+  /// Same as controller(); the repository benchmark (simbench/) calls it.
+  [[nodiscard]] const Controller& service_model() const { return ctrl_; }
   [[nodiscard]] const SsdConfig& config() const { return scheme_->config(); }
   [[nodiscard]] std::uint64_t logical_bytes() const;
 
@@ -189,19 +130,13 @@ class Ssd {
   /// A background op whose scheduling is deferred for GC interleaving.
   /// Its dependency is carried either as an already-known finish time
   /// (dep_finish) or as the index of an earlier deferred entry that will
-  /// be scheduled first (dep_entry). The two win_* fields are transient
-  /// windowed-mode state, only meaningful while a window is open: a
-  /// dependency on a foreground op staged in the open window (dep_win,
-  /// resolved to dep_finish at flush), and this entry's own slot in the
-  /// open window once claimed by the drain (win_item).
+  /// be scheduled first (dep_entry).
   struct Deferred {
     cache::PhysOp op;
     SimTime dep_finish = 0;
     std::size_t dep_entry = kNoEntry;
     SimTime finish = 0;  // set once scheduled
     bool scheduled = false;
-    std::uint32_t dep_win = ShardExecutor::kNoDep;
-    std::uint32_t win_item = ShardExecutor::kNoDep;
   };
 
   Completion do_submit(OpType op, std::uint64_t offset, std::uint32_t size,
@@ -209,7 +144,7 @@ class Ssd {
   SimTime schedule_deferred(Deferred& d, SimTime now);
 
   std::unique_ptr<cache::Scheme> scheme_;
-  ServiceModel service_;
+  Controller ctrl_;
   telemetry::Telemetry* telemetry_ = nullptr;
   // Blame ledger from the attached bundle (null when detached). do_submit
   // brackets every host request so the ledger can fold the request's
@@ -222,25 +157,6 @@ class Ssd {
   std::size_t deferred_head_ = 0;
   EventQueue<HostCompletion> pending_;
   std::uint64_t next_request_id_ = 0;
-
-  // ---- windowed-mode state (null/empty on the sequential path) ---------
-  /// Flight staging ring capacity: comfortably above the GC decisions a
-  /// full admission window produces; window_wants_flush() forces an
-  /// early flush at half occupancy before anything could be overwritten.
-  static constexpr std::uint32_t kFlightStagingCapacity = 1u << 16;
-
-  ShardExecutor* executor_ = nullptr;
-  std::vector<ShardExecutor::WinItem> win_items_;
-  std::vector<std::size_t> win_def_;  // per item: deferred_ slot (or kNoEntry)
-  std::vector<Controller::OpOutcome> win_out_;
-  std::vector<WinReq> win_reqs_;
-  std::vector<std::uint32_t> op_item_;  // reused per request
-  std::size_t win_def_begin_ = 0;  // first deferred_ slot of the open window
-  // The real scheme-side flight recorder (attach_introspection) and the
-  // staging ring phase A redirects it to while windowed.
-  telemetry::introspect::FlightRecorder* scheme_flight_ = nullptr;
-  std::unique_ptr<telemetry::introspect::FlightRecorder> staging_;
-  std::uint64_t win_flight_base_ = 0;  // staged count at window start
 };
 
 }  // namespace ppssd::sim

@@ -218,14 +218,6 @@ class FlightRecorder {
   /// Total events ever recorded (>= capacity once the ring wrapped).
   [[nodiscard]] std::uint64_t recorded() const { return head_; }
 
-  /// Event by absolute record index (0 = first ever recorded). The index
-  /// must still be retained: recorded() - capacity() <= index < recorded().
-  /// Used by the shard executor to replay a staging ring's window slice
-  /// into the run's real recorder at the window barrier.
-  [[nodiscard]] const FlightEvent& event_at(std::uint64_t index) const {
-    return ring_[static_cast<std::size_t>(index % ring_.size())];
-  }
-
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<FlightEvent> events() const;
 

@@ -78,8 +78,19 @@ TEST(SsdConfig, ValidateCatchesBadEcc) {
 
 TEST(SsdConfig, ValidateCatchesBadPageSplit) {
   SsdConfig cfg;
-  cfg.geometry.subpage_bytes = 3000;  // does not divide 16K
+  cfg.geometry.page_bytes = 10000;  // not a whole number of 4K subpages
   EXPECT_FALSE(cfg.validate().empty());
+}
+
+// A page with more subpages than the NAND layer's fixed slot arrays hold
+// would abort in the block constructor; validate() must refuse it first.
+TEST(SsdConfig, ValidateRejectsMoreSubpagesThanAPageHolds) {
+  SsdConfig cfg = SsdConfig::scaled(1024);
+  cfg.geometry.page_bytes = 64 * kKiB;  // 16 subpages
+  EXPECT_NE(cfg.validate().find("subpages"), std::string::npos)
+      << cfg.validate();
+  cfg.geometry.page_bytes = 32 * kKiB;  // 8 subpages: the largest accepted
+  EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
 }
 
 TEST(Units, Conversions) {

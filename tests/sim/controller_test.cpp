@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
+
+#include "sim/event_queue.h"
 
 namespace ppssd::sim {
 namespace {
@@ -43,6 +47,197 @@ cache::PhysOp erase_op(std::uint32_t chip) {
   return op;
 }
 
+cache::PhysOp sized_read(std::uint32_t chip, std::uint32_t subpages = 1,
+                         double ber = 0.0, bool bg = false) {
+  cache::PhysOp op = read_op(chip, 0, bg);
+  op.subpages = subpages;
+  op.ber = ber;
+  return op;
+}
+
+cache::PhysOp sized_program(std::uint32_t chip, CellMode mode,
+                            std::uint32_t subpages = 1, bool bg = false) {
+  cache::PhysOp op = program_op(chip, 0, bg);
+  op.mode = mode;
+  op.subpages = subpages;
+  return op;
+}
+
+/// Latest completions of one issued op sequence.
+struct Issued {
+  SimTime foreground_end = 0;  // completion of the host-visible ops
+  SimTime background_end = 0;  // completion of everything
+  std::uint32_t foreground_ops = 0;
+  std::uint32_t background_ops = 0;
+};
+
+/// Schedule `ops` in issue order starting no earlier than `now`, resolving
+/// each op's depends_on edge to the finish of the earlier op — the loop
+/// Ssd runs for a request without GC interleaving.
+Issued issue(Controller& ctrl, std::span<const cache::PhysOp> ops,
+             SimTime now) {
+  Issued out{now, now, 0, 0};
+  std::vector<SimTime> ends;
+  for (const auto& op : ops) {
+    SimTime ready = now;
+    if (op.depends_on != cache::PhysOp::kNoDependency) {
+      ready = std::max(ready, ends.at(op.depends_on));
+    }
+    const SimTime end = ctrl.schedule(op, ready);
+    ends.push_back(end);
+    if (op.background) {
+      out.background_end = std::max(out.background_end, end);
+      ++out.background_ops;
+    } else {
+      out.foreground_end = std::max(out.foreground_end, end);
+      ++out.foreground_ops;
+    }
+  }
+  out.background_end = std::max(out.background_end, out.foreground_end);
+  return out;
+}
+
+TEST(Controller, SingleReadLatency) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_read(0)};
+  const auto out = issue(ctrl, ops, 0);
+  // sense + transfer + min ECC decode (ber = 0).
+  EXPECT_EQ(out.foreground_end, c.timing.slc_read +
+                                    c.timing.transfer_per_subpage +
+                                    c.ecc.min_decode);
+}
+
+TEST(Controller, SingleProgramLatency) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc)};
+  const auto out = issue(ctrl, ops, 1000);
+  EXPECT_EQ(out.foreground_end,
+            1000 + c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, MlcOpsSlower) {
+  const SsdConfig c = cfg();
+  Controller slc_ctrl(c, 2, 2);
+  Controller mlc_ctrl(c, 2, 2);
+  const cache::PhysOp slc[] = {sized_program(0, CellMode::kSlc)};
+  const cache::PhysOp mlc[] = {sized_program(0, CellMode::kMlc)};
+  const auto s = issue(slc_ctrl, slc, 0);
+  const auto m = issue(mlc_ctrl, mlc, 0);
+  EXPECT_EQ(m.foreground_end - s.foreground_end,
+            c.timing.mlc_write - c.timing.slc_write);
+}
+
+TEST(Controller, SameChipSerializes) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc),
+                               sized_program(0, CellMode::kSlc)};
+  const auto out = issue(ctrl, ops, 0);
+  EXPECT_GE(out.foreground_end, 2 * c.timing.slc_write);
+}
+
+TEST(Controller, DifferentChipsParallel) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  cache::PhysOp a = sized_program(0, CellMode::kSlc);
+  cache::PhysOp b = sized_program(1, CellMode::kSlc);
+  b.channel = 1;  // independent bus
+  const cache::PhysOp ops[] = {a, b};
+  const auto out = issue(ctrl, ops, 0);
+  EXPECT_EQ(out.foreground_end,
+            c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, ChannelSerializesTransfers) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 1);
+  // Two programs on different chips but one channel: transfers serialize.
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc, 4),
+                               sized_program(1, CellMode::kSlc, 4)};
+  const auto out = issue(ctrl, ops, 0);
+  EXPECT_EQ(out.foreground_end,
+            2 * 4 * c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, EccCostScalesWithBer) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const auto clean = ctrl.ecc_cost(sized_read(0, 1, 0.0));
+  const auto noisy = ctrl.ecc_cost(sized_read(0, 1, 5e-4));
+  EXPECT_GT(noisy, clean);
+  const auto multi = ctrl.ecc_cost(sized_read(0, 4, 5e-4));
+  EXPECT_EQ(multi, 4 * noisy);
+}
+
+TEST(Controller, EraseSuspendDoesNotBlockHostOps) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp first[] = {erase_op(0)};
+  issue(ctrl, first, 0);
+  // A host program right after the (suspended) erase starts immediately.
+  const cache::PhysOp host[] = {sized_program(0, CellMode::kSlc)};
+  const auto out = issue(ctrl, host, 100);
+  EXPECT_EQ(out.foreground_end,
+            100 + c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, ErasesSerializeWithEachOther) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {erase_op(0), erase_op(0)};
+  const auto out = issue(ctrl, ops, 0);
+  EXPECT_EQ(out.background_end, 2 * c.timing.erase);
+}
+
+TEST(Controller, BackgroundOpsDoNotExtendForegroundEnd) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc),
+                               sized_program(1, CellMode::kMlc, 4, true)};
+  const auto out = issue(ctrl, ops, 0);
+  EXPECT_EQ(out.foreground_ops, 1u);
+  EXPECT_EQ(out.background_ops, 1u);
+  EXPECT_LT(out.foreground_end, out.background_end);
+}
+
+TEST(Controller, UsageAccounting) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc),
+                               sized_read(1, 1, 0.0, true), erase_op(0)};
+  issue(ctrl, ops, 0);
+  EXPECT_EQ(ctrl.usage().program_fg, c.timing.slc_write);
+  EXPECT_EQ(ctrl.usage().read_bg, c.timing.slc_read);
+  EXPECT_EQ(ctrl.usage().erase_bg, c.timing.erase);
+  EXPECT_EQ(ctrl.usage().total(),
+            c.timing.slc_write + c.timing.slc_read + c.timing.erase);
+}
+
+TEST(Controller, ResetClearsState) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc)};
+  issue(ctrl, ops, 0);
+  EXPECT_GT(ctrl.chip_free_at(0), 0u);
+  EXPECT_EQ(ctrl.scheduled_ops(), 1u);
+  ctrl.reset();
+  EXPECT_EQ(ctrl.chip_free_at(0), 0u);
+  EXPECT_EQ(ctrl.usage().total(), 0u);
+  EXPECT_EQ(ctrl.scheduled_ops(), 0u);
+}
+
+TEST(Controller, IdleChipStartsAtNow) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const cache::PhysOp ops[] = {sized_program(0, CellMode::kSlc)};
+  const auto out = issue(ctrl, ops, ms_to_ns(500.0));
+  EXPECT_EQ(out.foreground_end, ms_to_ns(500.0) +
+                                    c.timing.transfer_per_subpage +
+                                    c.timing.slc_write);
+}
+
 // A dependency's completion gates the dependent op even when its own chip
 // and channel are idle: the GC relocation program cannot start before the
 // page read that sources its data.
@@ -76,28 +271,6 @@ TEST(Controller, ForegroundSuspendsEraseBackgroundWaits) {
     const SimTime end = ctrl.schedule(program_op(0, 0, false), 100);
     EXPECT_EQ(end, 100 + c.timing.transfer_per_subpage + c.timing.slc_write);
   }
-}
-
-TEST(Controller, AdvanceToRetiresInflightCommands) {
-  const SsdConfig c = cfg();
-  Controller ctrl(c, 4, 2);
-  const SimTime a = ctrl.schedule(program_op(0), 0);
-  const SimTime b = ctrl.schedule(read_op(1, 1), 0);  // finishes earlier
-  ASSERT_NE(a, b);
-  EXPECT_EQ(ctrl.inflight_ops(), 2u);
-  ctrl.advance_to(std::min(a, b));
-  EXPECT_EQ(ctrl.inflight_ops(), 1u);
-  EXPECT_EQ(ctrl.clock(), std::min(a, b));
-  ctrl.advance_to(kNoTime);  // retire everything; clock lands on last end
-  EXPECT_EQ(ctrl.inflight_ops(), 0u);
-  EXPECT_EQ(ctrl.clock(), std::max(a, b));
-}
-
-TEST(Controller, ClockNeverMovesBackwards) {
-  Controller ctrl(cfg(), 2, 2);
-  ctrl.advance_to(5000);
-  ctrl.advance_to(1000);
-  EXPECT_EQ(ctrl.clock(), 5000u);
 }
 
 // The acceptance scenario for out-of-order host completions: chip 1 is
@@ -237,17 +410,6 @@ TEST(Controller, ResumeThenImmediateGcWaitsOutRemainderChargedToErase) {
   EXPECT_EQ(led->wait_ns(attr::OpClass::kGcProgram, attr::OpClass::kErase,
                          attr::Resource::kErase, CellMode::kSlc),
             E - (end1 + T));
-}
-
-TEST(Controller, ResetClearsClockAndInflight) {
-  Controller ctrl(cfg(), 2, 2);
-  ctrl.schedule(program_op(0), 0);
-  ctrl.advance_to(10);
-  ctrl.reset();
-  EXPECT_EQ(ctrl.clock(), 0u);
-  EXPECT_EQ(ctrl.inflight_ops(), 0u);
-  EXPECT_EQ(ctrl.chip_free_at(0), 0u);
-  EXPECT_EQ(ctrl.usage().total(), 0u);
 }
 
 }  // namespace

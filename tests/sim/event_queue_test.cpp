@@ -139,5 +139,29 @@ TEST(EventQueue, InterleavedPushPop) {
   EXPECT_EQ(q.pop().payload, 7);
 }
 
+// The stable-merge property the host completion queue rests on: events
+// pushed with equal timestamps pop in push order, regardless of how the
+// push sequence interleaves times.
+TEST(EventQueueStability, EqualTimesPopInPushOrderRandomized) {
+  Rng rng(1234);
+  EventQueue<std::uint64_t> q;
+  std::vector<std::pair<SimTime, std::uint64_t>> pushed;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const SimTime t = static_cast<SimTime>(rng.next_below(40));  // dense ties
+    q.push(t, i);
+    pushed.emplace_back(t, i);
+  }
+  // The oracle: stable sort by time only — FIFO within a timestamp.
+  std::stable_sort(pushed.begin(), pushed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t k = 0;
+  q.drain_until(kNoTime, [&](const auto& ev) {
+    ASSERT_EQ(ev.time, pushed[k].first) << "event " << k;
+    ASSERT_EQ(ev.payload, pushed[k].second) << "event " << k;
+    ++k;
+  });
+  EXPECT_EQ(k, pushed.size());
+}
+
 }  // namespace
 }  // namespace ppssd::sim

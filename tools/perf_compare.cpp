@@ -107,10 +107,6 @@ int main(int argc, char** argv) {
   const auto cmp =
       ppssd::perf::compare_bench(*baseline, *current, tolerance);
   std::printf("%s", cmp.render().c_str());
-  // Intra-run scaling of the current report's shard cell families
-  // (speedup over s1 and per-shard efficiency); empty without shard
-  // cells. Informational — regressions gate through the cell deltas.
-  std::printf("%s", ppssd::perf::render_shard_scaling(*current).c_str());
 
   bool required_failure = false;
   for (const ppssd::perf::CellDelta& d : cmp.cells) {
