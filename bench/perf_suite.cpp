@@ -20,7 +20,7 @@
 #include "common/units.h"
 #include "perf/bench_report.h"
 #include "sim/ssd.h"
-#include "telemetry/introspect/snapshotter.h"
+#include "telemetry/telemetry.h"
 
 using namespace ppssd;
 using namespace ppssd::bench;
@@ -28,25 +28,25 @@ using namespace ppssd::bench;
 namespace {
 
 /// Introspection-overhead cell pair: the full Ssd submit path with the
-/// snapshotter + flight recorder detached (pricing the null-handle hot
-/// path the perf gate enforces) vs attached at a 5 ms sim-time snapshot
-/// interval. Both variants run the same loop including the tick guard;
-/// the scratch stream files are deleted afterwards — only the timing
-/// survives.
+/// snapshot + flight-recorder bundle detached (pricing the null-handle
+/// hot path the perf gate enforces) vs attached at a 5 ms sim-time
+/// snapshot interval. Both variants run the same loop including the tick
+/// guard; the scratch stream files are deleted afterwards — only the
+/// timing survives.
 Timing run_snapshot_variant(bool attached) {
   const std::string scratch_snap = "BENCH_snapshot_scratch.bin";
   const std::string scratch_flight = "BENCH_flight_scratch.bin";
   SsdConfig cfg = SsdConfig::scaled(2048);
   sim::Ssd ssd(cfg, "IPU");
-  std::unique_ptr<telemetry::introspect::Snapshotter> snap;
+  std::unique_ptr<telemetry::Telemetry> tel;
   if (attached) {
-    telemetry::introspect::IntrospectOptions opts;
+    telemetry::TelemetryOptions opts;
     opts.snapshot_every_ns = ms_to_ns(5.0);
     opts.snapshot_path = scratch_snap;
     opts.flight_capacity = 4096;
     opts.flight_path = scratch_flight;
-    snap = std::make_unique<telemetry::introspect::Snapshotter>(opts);
-    ssd.attach_introspection(snap.get());
+    tel = std::make_unique<telemetry::Telemetry>(opts);
+    ssd.attach_telemetry(tel.get());
   }
 
   using clock = std::chrono::steady_clock;
@@ -63,15 +63,15 @@ Timing run_snapshot_variant(bool attached) {
       now += us_to_ns(20.0);
       ++lsn;
       ++t.calls;
-      if (snap != nullptr) snap->tick(now);
+      if (tel != nullptr) tel->on_request(now);
     }
     t.seconds += std::chrono::duration<double>(clock::now() - start).count();
   }
 
   if (attached) {
-    snap->finish(now);
-    ssd.attach_introspection(nullptr);
-    snap.reset();
+    tel->finish(now);
+    ssd.attach_telemetry(nullptr);
+    tel.reset();
     std::remove(scratch_snap.c_str());
     std::remove(scratch_flight.c_str());
   }
@@ -122,13 +122,7 @@ int main(int argc, char** argv) {
   const auto spec = Runner::default_spec();
   report.blocks = spec.total_blocks;
   report.scale = spec.trace_scale;
-  report.jobs = 1;
-  if (const char* jobs = std::getenv("PPSSD_JOBS")) {
-    try {
-      report.jobs = std::stoul(jobs);
-    } catch (...) {
-    }
-  }
+  report.jobs = core::env_number<std::uint64_t>("PPSSD_JOBS", 1);
 
   Table table({"cell", "requests", "wall s", "req/s", "ctrl ev/s",
                "measure s", "warmup s"});
@@ -159,7 +153,7 @@ int main(int argc, char** argv) {
   std::printf("total wall %.1fs, geomean %.0f req/s\n",
               report.total_wall_seconds(), report.geomean_reqs_per_sec());
 
-  // Snapshotter-overhead pair: appended after the matrix summary so the
+  // Snapshot-overhead pair: appended after the matrix summary so the
   // printed geomean stays the replay matrix alone (requests here are bare
   // submits, not replayed trace requests).
   for (const bool attached : {false, true}) {

@@ -1,13 +1,13 @@
-// Telemetry tour: replay a slice of the ts0 workload with every telemetry
-// artifact enabled, then read the artifacts back and summarise them.
+// Telemetry tour: replay a slice of the ts0 workload with the trace,
+// metrics and time-series sinks on, then read the artifacts back and
+// summarise them.
 //
-//   ./telemetry_tour [out_dir]
+//   ./telemetry_tour [out_dir]     writes out_dir/tour.{trace.json,
+//                                  metrics.csv,timeseries.csv}
 //
-// The same PPSSD_* environment knobs the bench binaries honour override
-// the defaults chosen here (PPSSD_TRACE, PPSSD_TRACE_CATEGORIES,
-// PPSSD_METRICS, PPSSD_TIMESERIES, PPSSD_SAMPLE_REQUESTS, ...). Load the
-// trace JSON in Perfetto (https://ui.perfetto.dev) to see host requests,
-// per-chip flash ops and GC episodes on parallel timeline tracks.
+// Load the trace JSON in Perfetto (https://ui.perfetto.dev) to see host
+// requests, per-chip flash ops and GC episodes on parallel timeline
+// tracks.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -24,17 +24,11 @@ using namespace ppssd;
 
 int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : ".";
-  telemetry::TelemetryOptions opts = telemetry::TelemetryOptions::from_env();
-  if (opts.trace_path.empty()) opts.trace_path = dir + "/tour.trace.json";
-  if (opts.metrics_path.empty()) {
-    opts.metrics_path = dir + "/tour.metrics.csv";
-  }
-  if (opts.timeseries_path.empty()) {
-    opts.timeseries_path = dir + "/tour.timeseries.csv";
-  }
-  if (opts.sample_every_requests == 0 && opts.sample_every_ns == 0) {
-    opts.sample_every_requests = 500;
-  }
+  telemetry::TelemetryOptions opts = telemetry::TelemetryOptions::for_sinks(
+      telemetry::kSinkTrace | telemetry::kSinkMetrics |
+          telemetry::kSinkTimeseries,
+      dir, "tour");
+  opts.sample_every_requests = 500;
   telemetry::Telemetry tel(opts);
 
   sim::Ssd ssd(SsdConfig::scaled(1024), "IPU");

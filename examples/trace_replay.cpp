@@ -99,10 +99,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(n), export_path.c_str());
   }
 
-  // PPSSD_TRACE / PPSSD_METRICS / PPSSD_TIMESERIES (see README) capture
-  // this replay's artifacts; absent knobs cost nothing.
+  // PPSSD_OBSERVE (see README) captures this replay's artifacts as
+  // <PPSSD_OBSERVE_DIR>/trace_replay.*; unset, it costs nothing.
   const std::unique_ptr<telemetry::Telemetry> tel =
-      telemetry::Telemetry::from_env();
+      telemetry::Telemetry::from_env("trace_replay");
   if (tel) ssd.attach_telemetry(tel.get());
 
   sim::Replayer replayer(ssd);

@@ -3,8 +3,8 @@
 // blocks endure ~10x the P/E cycles of MLC blocks [8], so shifting erase
 // traffic into the cache extends overall lifetime.
 //
-// Each scheme's replay runs with the introspection snapshotter attached
-// (DESIGN §13), so alongside the end-state totals the study prints a
+// Each scheme's replay runs with device-state snapshots on (DESIGN §13),
+// so alongside the end-state totals the study prints a
 // *time-resolved* wear trajectory recovered from the snapshot stream:
 // cumulative SLC/MLC erases and life fractions at sampled sim times —
 // when each region starts wearing, not just where it ends up.
@@ -19,7 +19,7 @@
 #include "sim/replayer.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/format.h"
-#include "telemetry/introspect/snapshotter.h"
+#include "telemetry/telemetry.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
 
@@ -55,18 +55,16 @@ WearResult run(const std::string& scheme, const std::string& trace,
   // Snapshot the device every 100 ms of sim time into a scratch stream;
   // the trajectory below is recovered from these frames.
   const std::string snap_path = "wear_study_snapshots.bin";
-  std::remove(snap_path.c_str());
-  intro::IntrospectOptions opts;
+  telemetry::TelemetryOptions opts;
   opts.snapshot_every_ns = ms_to_ns(100.0);
   opts.snapshot_path = snap_path;
-  intro::Snapshotter snap(opts);
-  ssd.attach_introspection(&snap);
-  replayer.set_snapshotter(&snap);
+  telemetry::Telemetry tel(opts);
+  ssd.attach_telemetry(&tel);
 
   const auto res = replayer.replay(workload);
   const SimTime drained = ssd.drain_background(res.makespan);
-  snap.finish(std::max(res.makespan, drained));
-  ssd.attach_introspection(nullptr);
+  tel.finish(std::max(res.makespan, drained));
+  ssd.attach_telemetry(nullptr);
 
   const auto& c = ssd.scheme().array().counters();
   const auto& geom = ssd.scheme().array().geometry();

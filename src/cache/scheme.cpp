@@ -28,7 +28,8 @@ Scheme::Scheme(const SsdConfig& cfg)
       spp_(cfg.geometry.subpages_per_page()) {}
 
 void Scheme::attach_telemetry(telemetry::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
+  flight_ = telemetry != nullptr ? telemetry->flight() : nullptr;
+  if (telemetry == nullptr || !telemetry->instrumented()) {
     tlog_ = nullptr;
     tl_writes_hit_ = tl_writes_miss_ = tl_partial_programs_ = nullptr;
     tl_evicted_ = tl_gc_moved_ = tl_direct_mlc_ = nullptr;
@@ -682,6 +683,53 @@ void Scheme::inspect(telemetry::introspect::StateSink& sink) const {
   sink.value("slc_cached_subpages", slc_valid);
   sink.value("staged_evictions",
              static_cast<std::uint64_t>(staged_evictions_.size()));
+}
+
+void Scheme::read_frame(std::vector<telemetry::introspect::BlockState>& blocks,
+                        std::vector<telemetry::introspect::PlaneState>& planes,
+                        telemetry::introspect::StateSink& values) const {
+  const nand::Geometry& geom = array_.geometry();
+  blocks.resize(geom.total_blocks());
+  for (BlockId b = 0; b < geom.total_blocks(); ++b) {
+    const nand::Block& blk = array_.block(b);
+    telemetry::introspect::BlockState& bs = blocks[b];
+    bs.erase_count = blk.erase_count();
+    bs.valid_subpages = blk.valid_subpages();
+    bs.invalid_subpages = blk.invalid_subpages();
+    bs.write_frontier = static_cast<std::uint16_t>(blk.write_frontier());
+    bs.pages = static_cast<std::uint16_t>(blk.page_count());
+    std::uint16_t reprogrammed = 0;
+    for (PageId p = 0; p < blk.write_frontier(); ++p) {
+      if (blk.page(p).reprogrammed()) ++reprogrammed;
+    }
+    bs.reprogrammed_pages = reprogrammed;
+    bs.mode = static_cast<std::uint8_t>(blk.mode());
+    bs.level = static_cast<std::uint8_t>(blk.level());
+  }
+
+  planes.resize(geom.planes());
+  for (std::uint32_t p = 0; p < geom.planes(); ++p) {
+    telemetry::introspect::PlaneState& ps = planes[p];
+    ps.free_slc = bm_.free_blocks(p, CellMode::kSlc);
+    ps.free_mlc = bm_.free_blocks(p, CellMode::kMlc);
+    ps.pressure_slc = bm_.needs_gc(p, CellMode::kSlc) ? 1 : 0;
+    ps.pressure_mlc = bm_.needs_gc(p, CellMode::kMlc) ? 1 : 0;
+  }
+
+  inspect(values);
+}
+
+telemetry::introspect::StreamInfo Scheme::stream_info() const {
+  const nand::Geometry& geom = array_.geometry();
+  telemetry::introspect::StreamInfo info;
+  info.scheme = name();
+  info.total_blocks = geom.total_blocks();
+  info.planes = geom.planes();
+  info.subpages_per_page = geom.subpages_per_page();
+  info.slc_blocks_per_plane = geom.slc_blocks_per_plane();
+  info.slc_gc_threshold = bm_.gc_threshold_blocks(CellMode::kSlc);
+  info.mlc_gc_threshold = bm_.gc_threshold_blocks(CellMode::kMlc);
+  return info;
 }
 
 // ---- warm-start checkpointing -------------------------------------------------

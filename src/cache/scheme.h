@@ -113,7 +113,7 @@ struct SchemeMetrics {
   std::uint64_t host_reads_unmapped = 0;
 };
 
-class Scheme {
+class Scheme : public telemetry::introspect::FrameSource {
  public:
   explicit Scheme(const SsdConfig& cfg);
   virtual ~Scheme() = default;
@@ -188,13 +188,25 @@ class Scheme {
   void set_origin_phase(OpOrigin origin) { fg_origin_ = origin; }
 
   /// Append this scheme's named occupancy/side-table figures to `sink`
-  /// for the introspection snapshotter. The base implementation emits
+  /// for a snapshot frame. The base implementation emits
   /// the scheme-independent accounting every frame carries —
   /// "mapped_lsns", "logical_subpages", "slc_cached_subpages",
   /// "staged_evictions" — and overrides must call it before adding
   /// their own entries (names are stable: tools key on them). Must be a
   /// pure observation — no state changes, device walk allowed.
   virtual void inspect(telemetry::introspect::StateSink& sink) const;
+
+  /// One snapshot frame of the whole device: per-block rows from the
+  /// array's running aggregates (plus the sticky reprogram marks up to
+  /// each frontier), per-plane free counts and GC pressure, then
+  /// inspect(). Never touches device state, so observed and unobserved
+  /// runs stay byte-identical.
+  void read_frame(std::vector<telemetry::introspect::BlockState>& blocks,
+                  std::vector<telemetry::introspect::PlaneState>& planes,
+                  telemetry::introspect::StateSink& values) const final;
+
+  /// Snapshot stream header: scheme name, geometry and GC thresholds.
+  [[nodiscard]] telemetry::introspect::StreamInfo stream_info() const final;
 
   /// Warm-start checkpointing (DESIGN.md §14): serialize the device's
   /// complete mutable state — flash array, block manager, mapping table,
@@ -209,19 +221,15 @@ class Scheme {
   /// checkpoint container validates integrity up front).
   void restore(io::StateSource& src);
 
-  /// Attach (or detach, with null) the crash flight recorder: committed
-  /// GC victim decisions are recorded as kGcDecision events. Pure
-  /// observer; one branch per GC pass when detached.
-  void set_flight_recorder(telemetry::introspect::FlightRecorder* flight) {
-    flight_ = flight;
-  }
-
   /// Register the scheme's counters/histograms (cache hit/miss, partial
   /// programs, evictions, GC episodes, read BER…) labelled
   /// {scheme=<name>}, fan out to the block manager and GC policies, and
-  /// adopt the bundle's trace log. Null detaches the hot-path handles; the
-  /// registry must outlive the scheme (or be re-attached) because pool
-  /// gauges poll it. Call at most once per registry.
+  /// adopt the bundle's trace log and flight recorder (committed GC
+  /// victims are recorded as kGcDecision events). A bundle that is not
+  /// instrumented() hands over only its flight recorder. Null detaches
+  /// the hot-path handles; the registry must outlive the scheme (or be
+  /// re-attached) because pool gauges poll it. Call at most once per
+  /// registry.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  protected:

@@ -4,13 +4,13 @@
 #include <chrono>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.h"
 #include "core/warmstart.h"
 #include "perf/profiler.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
-#include "telemetry/introspect/snapshotter.h"
 #include "telemetry/telemetry.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
@@ -140,24 +140,13 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   r.wall_warmup_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
-  // Telemetry (PPSSD_TRACE / PPSSD_METRICS / PPSSD_TIMESERIES): attach
-  // after warm-up so the artifacts cover only the measured phase. The
-  // bundle is declared after `ssd`, so it is destroyed (flushing any
+  // Observers (PPSSD_OBSERVE, written to <PPSSD_OBSERVE_DIR>/<key>.*):
+  // attach after warm-up so the artifacts cover only the measured phase.
+  // The bundle is declared after `ssd`, so it is destroyed (flushing any
   // remaining output) while the scheme its gauges poll is still alive.
   const std::unique_ptr<telemetry::Telemetry> tel =
-      telemetry::Telemetry::from_env();
+      telemetry::Telemetry::from_env(spec.key());
   if (tel) ssd.attach_telemetry(tel.get());
-
-  // Introspection (PPSSD_SNAPSHOT / PPSSD_FLIGHT): same post-warm-up
-  // attach discipline, so the snapshot stream and flight ring cover only
-  // the measured phase. Declared after `ssd` so finish()/destruction run
-  // while the scheme it observes is alive.
-  const std::unique_ptr<telemetry::introspect::Snapshotter> snap =
-      telemetry::introspect::Snapshotter::from_env();
-  if (snap) {
-    ssd.attach_introspection(snap.get());
-    replayer.set_snapshotter(snap.get());
-  }
 
   if (progress != nullptr) {
     progress->begin(workload.expected_records());
@@ -169,10 +158,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     replay = replayer.replay(workload);
   }
   if (tel) tel->finish(replay.makespan);
-  if (snap) {
-    snap->finish(replay.makespan);
-    ssd.attach_introspection(nullptr);
-  }
   r.wall_measure_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
@@ -233,57 +218,72 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
 // ---- serialization ------------------------------------------------------
 
+namespace {
+
+/// The result record's one field table: calls fn(key, field) for every
+/// serialized field in file order. serialize() and deserialize() both
+/// walk it, so a field added here is written and read back. `R` is
+/// ExperimentResult or its const.
+template <typename R, typename Fn>
+void for_each_field(R& r, Fn&& fn) {
+  fn("avg_read_ms", r.avg_read_ms);
+  fn("avg_write_ms", r.avg_write_ms);
+  fn("avg_overall_ms", r.avg_overall_ms);
+  fn("p50_read_ms", r.p50_read_ms);
+  fn("p50_write_ms", r.p50_write_ms);
+  fn("p95_read_ms", r.p95_read_ms);
+  fn("p95_write_ms", r.p95_write_ms);
+  fn("p99_read_ms", r.p99_read_ms);
+  fn("p99_write_ms", r.p99_write_ms);
+  fn("p999_read_ms", r.p999_read_ms);
+  fn("p999_write_ms", r.p999_write_ms);
+  fn("reads", r.reads);
+  fn("writes", r.writes);
+  fn("read_ber", r.read_ber);
+  fn("slc_subpages", r.slc_subpages);
+  fn("mlc_subpages", r.mlc_subpages);
+  fn("level0", r.level_subpages[0]);
+  fn("level1", r.level_subpages[1]);
+  fn("level2", r.level_subpages[2]);
+  fn("level3", r.level_subpages[3]);
+  fn("intra_page_updates", r.intra_page_updates);
+  fn("gc_utilization", r.gc_utilization);
+  fn("slc_erases", r.slc_erases);
+  fn("mlc_erases", r.mlc_erases);
+  fn("map_base_bytes", r.map_base_bytes);
+  fn("map_extra_bytes", r.map_extra_bytes);
+  fn("map_aux_bytes", r.map_aux_bytes);
+  fn("slc_gc_count", r.slc_gc_count);
+  fn("mlc_gc_count", r.mlc_gc_count);
+  fn("evicted_subpages", r.evicted_subpages);
+  fn("gc_moved_subpages", r.gc_moved_subpages);
+  fn("avg_queue_depth", r.avg_queue_depth);
+  fn("avg_queue_depth_at_arrival", r.avg_queue_depth_at_arrival);
+  fn("chip_fg_seconds", r.chip_fg_seconds);
+  fn("chip_bg_seconds", r.chip_bg_seconds);
+  fn("chip_erase_seconds", r.chip_erase_seconds);
+  fn("ctrl_events", r.ctrl_events);
+  // Every wall_* key is wall-clock-derived and nondeterministic; the
+  // determinism checks filter on this prefix.
+  fn("wall_seconds", r.wall_seconds);
+  fn("wall_setup_seconds", r.wall_setup_seconds);
+  fn("wall_warmup_seconds", r.wall_warmup_seconds);
+  fn("wall_measure_seconds", r.wall_measure_seconds);
+  fn("wall_report_seconds", r.wall_report_seconds);
+  fn("wall_reqs_per_sec", r.wall_reqs_per_sec);
+  fn("wall_ctrl_events_per_sec", r.wall_ctrl_events_per_sec);
+}
+
+}  // namespace
+
 std::string ExperimentResult::serialize() const {
   std::ostringstream os;
   os.precision(17);
   os << "schema=" << kResultSchemaVersion << '\n'
-     << "key=" << spec.key() << '\n'
-     << "avg_read_ms=" << avg_read_ms << '\n'
-     << "avg_write_ms=" << avg_write_ms << '\n'
-     << "avg_overall_ms=" << avg_overall_ms << '\n'
-     << "p50_read_ms=" << p50_read_ms << '\n'
-     << "p50_write_ms=" << p50_write_ms << '\n'
-     << "p95_read_ms=" << p95_read_ms << '\n'
-     << "p95_write_ms=" << p95_write_ms << '\n'
-     << "p99_read_ms=" << p99_read_ms << '\n'
-     << "p99_write_ms=" << p99_write_ms << '\n'
-     << "p999_read_ms=" << p999_read_ms << '\n'
-     << "p999_write_ms=" << p999_write_ms << '\n'
-     << "reads=" << reads << '\n'
-     << "writes=" << writes << '\n'
-     << "read_ber=" << read_ber << '\n'
-     << "slc_subpages=" << slc_subpages << '\n'
-     << "mlc_subpages=" << mlc_subpages << '\n'
-     << "level0=" << level_subpages[0] << '\n'
-     << "level1=" << level_subpages[1] << '\n'
-     << "level2=" << level_subpages[2] << '\n'
-     << "level3=" << level_subpages[3] << '\n'
-     << "intra_page_updates=" << intra_page_updates << '\n'
-     << "gc_utilization=" << gc_utilization << '\n'
-     << "slc_erases=" << slc_erases << '\n'
-     << "mlc_erases=" << mlc_erases << '\n'
-     << "map_base_bytes=" << map_base_bytes << '\n'
-     << "map_extra_bytes=" << map_extra_bytes << '\n'
-     << "map_aux_bytes=" << map_aux_bytes << '\n'
-     << "slc_gc_count=" << slc_gc_count << '\n'
-     << "mlc_gc_count=" << mlc_gc_count << '\n'
-     << "evicted_subpages=" << evicted_subpages << '\n'
-     << "gc_moved_subpages=" << gc_moved_subpages << '\n'
-     << "avg_queue_depth=" << avg_queue_depth << '\n'
-     << "avg_queue_depth_at_arrival=" << avg_queue_depth_at_arrival << '\n'
-     << "chip_fg_seconds=" << chip_fg_seconds << '\n'
-     << "chip_bg_seconds=" << chip_bg_seconds << '\n'
-     << "chip_erase_seconds=" << chip_erase_seconds << '\n'
-     << "ctrl_events=" << ctrl_events << '\n'
-     // Every wall_* key is wall-clock-derived and nondeterministic; the
-     // determinism checks filter on this prefix.
-     << "wall_seconds=" << wall_seconds << '\n'
-     << "wall_setup_seconds=" << wall_setup_seconds << '\n'
-     << "wall_warmup_seconds=" << wall_warmup_seconds << '\n'
-     << "wall_measure_seconds=" << wall_measure_seconds << '\n'
-     << "wall_report_seconds=" << wall_report_seconds << '\n'
-     << "wall_reqs_per_sec=" << wall_reqs_per_sec << '\n'
-     << "wall_ctrl_events_per_sec=" << wall_ctrl_events_per_sec << '\n';
+     << "key=" << spec.key() << '\n';
+  for_each_field(*this, [&os](const char* key, const auto& value) {
+    os << key << '=' << value << '\n';
+  });
   return os.str();
 }
 
@@ -299,103 +299,24 @@ std::optional<ExperimentResult> ExperimentResult::deserialize(
     if (eq == std::string::npos) continue;
     const std::string k = line.substr(0, eq);
     const std::string v = line.substr(eq + 1);
-    ++seen;
     try {
       if (k == "schema") {
         if (std::stoi(v) != kResultSchemaVersion) return std::nullopt;
         schema_ok = true;
+        ++seen;
       } else if (k == "key") {
-        /* informational */
-      } else if (k == "avg_read_ms") {
-        r.avg_read_ms = std::stod(v);
-      } else if (k == "avg_write_ms") {
-        r.avg_write_ms = std::stod(v);
-      } else if (k == "avg_overall_ms") {
-        r.avg_overall_ms = std::stod(v);
-      } else if (k == "p50_read_ms") {
-        r.p50_read_ms = std::stod(v);
-      } else if (k == "p50_write_ms") {
-        r.p50_write_ms = std::stod(v);
-      } else if (k == "p95_read_ms") {
-        r.p95_read_ms = std::stod(v);
-      } else if (k == "p95_write_ms") {
-        r.p95_write_ms = std::stod(v);
-      } else if (k == "p99_read_ms") {
-        r.p99_read_ms = std::stod(v);
-      } else if (k == "p99_write_ms") {
-        r.p99_write_ms = std::stod(v);
-      } else if (k == "p999_read_ms") {
-        r.p999_read_ms = std::stod(v);
-      } else if (k == "p999_write_ms") {
-        r.p999_write_ms = std::stod(v);
-      } else if (k == "reads") {
-        r.reads = std::stoull(v);
-      } else if (k == "writes") {
-        r.writes = std::stoull(v);
-      } else if (k == "read_ber") {
-        r.read_ber = std::stod(v);
-      } else if (k == "slc_subpages") {
-        r.slc_subpages = std::stoull(v);
-      } else if (k == "mlc_subpages") {
-        r.mlc_subpages = std::stoull(v);
-      } else if (k == "level0") {
-        r.level_subpages[0] = std::stoull(v);
-      } else if (k == "level1") {
-        r.level_subpages[1] = std::stoull(v);
-      } else if (k == "level2") {
-        r.level_subpages[2] = std::stoull(v);
-      } else if (k == "level3") {
-        r.level_subpages[3] = std::stoull(v);
-      } else if (k == "intra_page_updates") {
-        r.intra_page_updates = std::stoull(v);
-      } else if (k == "gc_utilization") {
-        r.gc_utilization = std::stod(v);
-      } else if (k == "slc_erases") {
-        r.slc_erases = std::stoull(v);
-      } else if (k == "mlc_erases") {
-        r.mlc_erases = std::stoull(v);
-      } else if (k == "map_base_bytes") {
-        r.map_base_bytes = std::stoull(v);
-      } else if (k == "map_extra_bytes") {
-        r.map_extra_bytes = std::stoull(v);
-      } else if (k == "map_aux_bytes") {
-        r.map_aux_bytes = std::stoull(v);
-      } else if (k == "slc_gc_count") {
-        r.slc_gc_count = std::stoull(v);
-      } else if (k == "mlc_gc_count") {
-        r.mlc_gc_count = std::stoull(v);
-      } else if (k == "evicted_subpages") {
-        r.evicted_subpages = std::stoull(v);
-      } else if (k == "gc_moved_subpages") {
-        r.gc_moved_subpages = std::stoull(v);
-      } else if (k == "avg_queue_depth") {
-        r.avg_queue_depth = std::stod(v);
-      } else if (k == "avg_queue_depth_at_arrival") {
-        r.avg_queue_depth_at_arrival = std::stod(v);
-      } else if (k == "chip_fg_seconds") {
-        r.chip_fg_seconds = std::stod(v);
-      } else if (k == "chip_bg_seconds") {
-        r.chip_bg_seconds = std::stod(v);
-      } else if (k == "chip_erase_seconds") {
-        r.chip_erase_seconds = std::stod(v);
-      } else if (k == "ctrl_events") {
-        r.ctrl_events = std::stoull(v);
-      } else if (k == "wall_seconds") {
-        r.wall_seconds = std::stod(v);
-      } else if (k == "wall_setup_seconds") {
-        r.wall_setup_seconds = std::stod(v);
-      } else if (k == "wall_warmup_seconds") {
-        r.wall_warmup_seconds = std::stod(v);
-      } else if (k == "wall_measure_seconds") {
-        r.wall_measure_seconds = std::stod(v);
-      } else if (k == "wall_report_seconds") {
-        r.wall_report_seconds = std::stod(v);
-      } else if (k == "wall_reqs_per_sec") {
-        r.wall_reqs_per_sec = std::stod(v);
-      } else if (k == "wall_ctrl_events_per_sec") {
-        r.wall_ctrl_events_per_sec = std::stod(v);
+        ++seen;  // informational
       } else {
-        --seen;
+        for_each_field(r, [&](const char* key, auto& field) {
+          using T = std::decay_t<decltype(field)>;
+          if (k != key) return;
+          if constexpr (std::is_same_v<T, double>) {
+            field = std::stod(v);
+          } else {
+            field = std::stoull(v);
+          }
+          ++seen;
+        });
       }
     } catch (...) {
       return std::nullopt;

@@ -1,5 +1,6 @@
 #include "core/runner.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -10,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "perf/profiler.h"
 #include "perf/progress.h"
-#include "telemetry/introspect/format.h"
 #include "telemetry/telemetry.h"
 #include "trace/profiles.h"
 
@@ -22,6 +22,22 @@ std::string env_or(const char* name, const std::string& fallback) {
   return v ? std::string(v) : fallback;
 }
 }  // namespace
+
+template <typename T>
+T env_number(const char* name, T fallback) {
+  const std::string v = env_or(name, "");
+  if (v.empty()) return fallback;
+  T out{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  PPSSD_CHECK_MSG(ec == std::errc() && end == v.data() + v.size(),
+                  (std::string(name) + "='" + v + "' is not a valid number")
+                      .c_str());
+  return out;
+}
+
+template std::uint32_t env_number(const char*, std::uint32_t);
+template std::uint64_t env_number(const char*, std::uint64_t);
+template double env_number(const char*, double);
 
 Runner::Runner()
     : cache_dir_(env_or("PPSSD_NO_CACHE", "").empty()
@@ -43,13 +59,8 @@ std::string Runner::cache_path(const ExperimentSpec& spec) const {
 
 ExperimentResult Runner::run(const ExperimentSpec& spec) {
   // A cached cell would skip the simulation entirely — and with it every
-  // requested telemetry artifact (trace, metrics CSV, time series) or
-  // introspection stream (snapshots, flight dump). When either
-  // environment is set, always re-simulate.
-  const bool want_telemetry =
-      telemetry::TelemetryOptions::from_env().any() ||
-      telemetry::introspect::IntrospectOptions::from_env().any();
-  if (!cache_dir_.empty() && !want_telemetry) {
+  // artifact PPSSD_OBSERVE requested. When observing, always re-simulate.
+  if (!cache_dir_.empty() && telemetry::sinks_from_env() == 0) {
     std::ifstream in(cache_path(spec));
     if (in) {
       std::ostringstream buf;
@@ -85,26 +96,13 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) {
 std::vector<ExperimentResult> Runner::run_all(
     const std::vector<ExperimentSpec>& specs, std::size_t jobs) {
   if (jobs == 0) {
-    const std::string env = env_or("PPSSD_JOBS", "");
-    if (!env.empty()) {
-      try {
-        jobs = static_cast<std::size_t>(std::stoul(env));
-      } catch (...) {
-        jobs = 1;
-      }
-    }
+    jobs = env_number<std::uint64_t>("PPSSD_JOBS", 1);
     if (jobs == 0) jobs = 1;
   }
-  // The telemetry artifact writers (trace JSON, metrics CSV, time series)
-  // share env-configured output paths; concurrent cells would clobber
-  // each other's files. The same goes for the snapshot stream (append
-  // mode gives one stream per *sequential* cell) and the check-failure
-  // hook (process-global). Telemetry/introspection runs force sequential
-  // execution.
-  if (telemetry::TelemetryOptions::from_env().any() ||
-      telemetry::introspect::IntrospectOptions::from_env().any()) {
-    jobs = 1;
-  }
+  // Each cell writes its own artifact files, but the check-failure hook
+  // the observers install is process-global: observed runs go
+  // sequentially.
+  if (telemetry::sinks_from_env() != 0) jobs = 1;
   perf::ProgressReporter::global().set_expected_cells(specs.size());
   std::vector<ExperimentResult> results(specs.size());
   if (jobs <= 1 || specs.size() <= 1) {
@@ -140,14 +138,8 @@ ExperimentSpec Runner::default_spec() {
     spec.total_blocks = 65536;
     spec.trace_scale = 1.0;
   }
-  const std::string blocks = env_or("PPSSD_BLOCKS", "");
-  if (!blocks.empty()) {
-    spec.total_blocks = static_cast<std::uint32_t>(std::stoul(blocks));
-  }
-  const std::string scale = env_or("PPSSD_SCALE", "");
-  if (!scale.empty()) {
-    spec.trace_scale = std::stod(scale);
-  }
+  spec.total_blocks = env_number("PPSSD_BLOCKS", spec.total_blocks);
+  spec.trace_scale = env_number("PPSSD_SCALE", spec.trace_scale);
   return spec;
 }
 

@@ -20,6 +20,11 @@
 //                      subset of registered scheme names (case-
 //                      insensitive). Unknown names abort with the list
 //                      of known schemes.
+//
+// Numeric knobs parse strictly (env_number): a value that is not a
+// whole number fails fast, naming the variable. PPSSD_OBSERVE (see
+// telemetry/telemetry.h) makes every cell re-simulate and run
+// sequentially.
 #pragma once
 
 #include <string>
@@ -28,6 +33,13 @@
 #include "core/experiment.h"
 
 namespace ppssd::core {
+
+/// $name parsed as a T (std::uint32_t, std::uint64_t or double);
+/// `fallback` when unset or empty. Anything but a whole, in-range
+/// number ("abc", "0.02abc", "-1" for an unsigned knob) fails a
+/// PPSSD_CHECK that names the variable and its value.
+template <typename T>
+[[nodiscard]] T env_number(const char* name, T fallback);
 
 class Runner {
  public:
@@ -41,8 +53,8 @@ class Runner {
   /// Run every spec, up to `jobs` concurrently (0 = $PPSSD_JOBS, default
   /// 1). Results come back in spec order regardless of job count; cells
   /// are independent simulations, so the values are bit-identical at any
-  /// parallelism. Telemetry env vars force sequential execution (the
-  /// artifact writers share output paths).
+  /// parallelism. PPSSD_OBSERVE forces sequential execution (the
+  /// check-failure hook the observers install is process-global).
   std::vector<ExperimentResult> run_all(
       const std::vector<ExperimentSpec>& specs, std::size_t jobs = 0);
 

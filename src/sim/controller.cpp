@@ -67,7 +67,8 @@ void Controller::attach_telemetry(telemetry::Telemetry* telemetry) {
       attrib_->seed_channel(ch, channel_busy_[ch]);
     }
   }
-  if (telemetry == nullptr) {
+  flight_ = telemetry != nullptr ? telemetry->flight() : nullptr;
+  if (telemetry == nullptr || !telemetry->instrumented()) {
     trace_ = nullptr;
     tl_ops_[0][0] = tl_ops_[0][1] = tl_ops_[1][0] = tl_ops_[1][1] = nullptr;
     tl_erases_ = tl_reprograms_ = tl_ecc_decodes_ = tl_ecc_saturated_ =

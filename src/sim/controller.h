@@ -76,18 +76,14 @@ class Controller {
   void reset();
 
   /// Register flash-op counters / wait histograms and adopt the bundle's
-  /// trace log for per-op chip-lane spans. Null detaches.
-  void attach_telemetry(telemetry::Telemetry* telemetry);
-
-  /// Attach (or detach, with null) the crash flight recorder: every
+  /// trace log for per-op chip-lane spans and its flight recorder: every
   /// scheduled command records begin/finish events (ids match the
   /// attribution ledger's op sequence numbers), and a foreground command
-  /// preempting an in-progress erase records a kEraseSuspend. Pure
-  /// observer; one branch per scheduled op when detached. Survives
-  /// reset() — the recorder's lifetime is managed by the snapshotter.
-  void set_flight_recorder(telemetry::introspect::FlightRecorder* flight) {
-    flight_ = flight;
-  }
+  /// preempting an in-progress erase records a kEraseSuspend. A bundle
+  /// that is not instrumented() hands over only its flight recorder. Pure
+  /// observer; one branch per scheduled op and sink when detached; the
+  /// handles survive reset(). Null detaches.
+  void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
   /// Per-chip command lane: the array horizon (one read/program at a
@@ -134,7 +130,7 @@ class Controller {
   // pointer test per scheduled op). attach_telemetry() binds the
   // resource topology and seeds current horizons as prefill claims.
   telemetry::attribution::AttributionLedger* attrib_ = nullptr;
-  // Flight recorder (null when detached; see set_flight_recorder).
+  // Flight recorder (null when detached; see attach_telemetry).
   telemetry::introspect::FlightRecorder* flight_ = nullptr;
   telemetry::Counter* tl_ops_[2][2] = {{nullptr, nullptr},
                                        {nullptr, nullptr}};

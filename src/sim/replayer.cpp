@@ -12,13 +12,14 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
                               std::uint64_t max_requests) {
   ReplayResult result;
 
-  // Host-level instruments (null without an attached telemetry bundle).
+  // Host-level instruments (null without an attached, instrumented
+  // telemetry bundle; a snapshot/flight-only bundle just takes the tick).
   telemetry::Telemetry* tel = ssd_->telemetry();
   telemetry::TraceLog* tlog = nullptr;
   telemetry::Histogram* lat_read = nullptr;
   telemetry::Histogram* lat_write = nullptr;
   telemetry::Gauge* inflight = nullptr;
-  if (tel != nullptr) {
+  if (tel != nullptr && tel->instrumented()) {
     tlog = tel->trace();
     auto& reg = tel->registry();
     lat_read = reg.histogram("host_latency_ms", {{"op", "read"}}, 1e-3, 1e4);
@@ -44,7 +45,7 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
     --depth;
     result.latency.record(c.op, c.latency());
     result.makespan = std::max(result.makespan, c.finish);
-    if (tel != nullptr) {
+    if (inflight != nullptr) {
       (c.op == OpType::kRead ? lat_read : lat_write)
           ->observe(ns_to_ms(c.latency()));
     }
@@ -76,8 +77,7 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
       progress_->advance(result.requests);
     }
 
-    if (snapshot_ != nullptr) snapshot_->tick(rec.arrival);
-    if (tel != nullptr) {
+    if (inflight != nullptr) {
       inflight->set(static_cast<double>(depth));
       const double ms = ns_to_ms(done.latency());
       const bool read = rec.op == OpType::kRead;
@@ -89,8 +89,8 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
                     {"queue_depth", static_cast<double>(depth)},
                     {"latency_ms", ms}});
       }
-      tel->on_request(rec.arrival);
     }
+    if (tel != nullptr) tel->on_request(rec.arrival);
   };
 
   std::array<trace::TraceRecord, kBatch> batch;
@@ -108,7 +108,7 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
 
   // Source exhausted: harvest every remaining completion.
   ssd_->drain_completions(kNoTime, harvest);
-  if (tel != nullptr && inflight != nullptr) inflight->set(0.0);
+  if (inflight != nullptr) inflight->set(0.0);
 
   if (result.requests > 0) {
     result.avg_queue_depth_at_arrival =

@@ -12,7 +12,6 @@
 #include "common/latency_recorder.h"
 #include "perf/progress.h"
 #include "sim/ssd.h"
-#include "telemetry/introspect/snapshotter.h"
 #include "trace/record.h"
 
 namespace ppssd::sim {
@@ -44,13 +43,6 @@ class Replayer {
   /// ownership; the sink must outlive the replay.
   void set_progress(perf::ProgressSink* sink) { progress_ = sink; }
 
-  /// Optional introspection snapshotter, ticked at every request arrival
-  /// (a null snapshotter costs one pointer test per request). Caller
-  /// keeps ownership and calls finish() after the replay.
-  void set_snapshotter(telemetry::introspect::Snapshotter* snap) {
-    snapshot_ = snap;
-  }
-
  private:
   /// Tick granularity: frequent enough for a smooth ETA, rare enough to
   /// stay invisible in the replay loop's profile.
@@ -63,7 +55,6 @@ class Replayer {
 
   Ssd* ssd_;
   perf::ProgressSink* progress_ = nullptr;
-  telemetry::introspect::Snapshotter* snapshot_ = nullptr;
 };
 
 }  // namespace ppssd::sim

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/state_io.h"
 #include "common/units.h"
-#include "telemetry/introspect/snapshotter.h"
 
 namespace ppssd::sim {
 
@@ -31,17 +30,9 @@ void Ssd::attach_telemetry(telemetry::Telemetry* telemetry) {
   }
   scheme_->attach_telemetry(telemetry);
   ctrl_.attach_telemetry(telemetry);
-}
-
-void Ssd::attach_introspection(telemetry::introspect::Snapshotter* snap) {
-  if (snap == nullptr) {
-    ctrl_.set_flight_recorder(nullptr);
-    scheme_->set_flight_recorder(nullptr);
-    return;
+  if (telemetry != nullptr) {
+    telemetry->bind_device(scheme_.get());
   }
-  snap->bind(*scheme_);
-  ctrl_.set_flight_recorder(snap->flight());
-  scheme_->set_flight_recorder(snap->flight());
 }
 
 void Ssd::reset_timing() {

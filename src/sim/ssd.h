@@ -23,11 +23,7 @@
 #include "common/types.h"
 #include "sim/controller.h"
 #include "sim/event_queue.h"
-#include "telemetry/introspect/format.h"
-
-namespace ppssd::telemetry::introspect {
-class Snapshotter;
-}
+#include "telemetry/telemetry.h"
 
 namespace ppssd::sim {
 
@@ -110,18 +106,16 @@ class Ssd {
   void save(io::StateSink& sink) const;
   void restore(io::StateSource& src);
 
-  /// Fan the bundle out to the scheme (placement/GC instruments) and the
-  /// controller (flash-op spans). Null detaches.
+  /// Fan the bundle out to the scheme (placement/GC instruments, GC
+  /// flight events) and the controller (flash-op spans and flight
+  /// events), and bind the scheme as the bundle's snapshot frame source.
+  /// Null detaches the device's handles. The bundle's finish() must run
+  /// while this device is alive: its gauges poll the scheme and its
+  /// final snapshot frame walks it.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
-  /// Bind the introspection snapshotter to this device (stream header
-  /// from the scheme's geometry, crash hook installed) and fan its
-  /// flight recorder out to the controller and the scheme's GC driver.
-  /// Null detaches the recorder hooks; the snapshotter must outlive the
-  /// device or be detached first.
-  void attach_introspection(telemetry::introspect::Snapshotter* snap);
   /// The attached bundle, or null. The replayer uses this for host-level
-  /// spans and sampler ticks.
+  /// spans and the per-request sampler/snapshot tick.
   [[nodiscard]] telemetry::Telemetry* telemetry() const { return telemetry_; }
 
  private:

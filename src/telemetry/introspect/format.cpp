@@ -1,10 +1,8 @@
 #include "telemetry/introspect/format.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
-#include "common/units.h"
 
 namespace ppssd::telemetry::introspect {
 
@@ -119,7 +117,7 @@ const StateSink::Entry* StateSink::find(std::string_view name) const {
 
 bool SnapshotWriter::open(const std::string& path) {
   PPSSD_CHECK(!out_.is_open());
-  out_.open(path, std::ios::binary | std::ios::app);
+  out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) return false;
   path_ = path;
   return true;
@@ -439,27 +437,6 @@ bool load_flight(const std::string& path, FlightFile* out,
     out->events.push_back(e);
   }
   return true;
-}
-
-// ---- environment knobs --------------------------------------------------
-
-IntrospectOptions IntrospectOptions::from_env() {
-  IntrospectOptions opts;
-  if (const char* ms = std::getenv("PPSSD_SNAPSHOT")) {
-    const double v = std::atof(ms);
-    if (v > 0.0) opts.snapshot_every_ns = ms_to_ns(v);
-  }
-  if (const char* p = std::getenv("PPSSD_SNAPSHOT_PATH")) {
-    if (*p) opts.snapshot_path = p;
-  }
-  if (const char* n = std::getenv("PPSSD_FLIGHT")) {
-    const long v = std::atol(n);
-    if (v > 0) opts.flight_capacity = static_cast<std::uint32_t>(v);
-  }
-  if (const char* p = std::getenv("PPSSD_FLIGHT_PATH")) {
-    if (*p) opts.flight_path = p;
-  }
-  return opts;
 }
 
 }  // namespace ppssd::telemetry::introspect

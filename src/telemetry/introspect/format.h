@@ -2,18 +2,18 @@
 // flight recorder.
 //
 // This header is the *format* layer: record structs, the StateSink that
-// schemes fill from their `inspect()` hook, the append-mode stream
-// writer, the truncation-tolerant loaders, and the fixed-size event ring
-// the controller and GC driver feed. Like the attribution ledger, it
-// sees only common/ types — the walker that knows FlashArray /
-// BlockManager / Scheme lives one layer up (telemetry/introspect/
-// snapshotter.h, library ppssd_introspect), so ppssd_telemetry keeps its
-// common-only dependency edge.
+// schemes fill from their `inspect()` hook, the FrameSource interface
+// the snapshot sink walks, the stream writer, the truncation-tolerant
+// loaders, and the fixed-size event ring the controller and GC driver
+// feed. Like the attribution ledger, it sees only common/ types — the
+// device walk itself is cache::Scheme's FrameSource implementation, so
+// ppssd_telemetry keeps its common-only dependency edge.
 //
 // Snapshot file layout (little-endian, magic "PPSSDSNP"): a file is a
-// sequence of *streams*, one per Snapshotter::bind() — the writer opens
-// the file in append mode, so sequential experiment cells sharing one
-// PPSSD_SNAPSHOT_PATH each contribute their own stream. Each stream is
+// sequence of *streams*, one per bound device (Telemetry::bind_device).
+// The observer bundle writes one file per experiment cell, so a file
+// normally holds one stream; files concatenate into a valid multi-stream
+// file. Each stream is
 //
 //   magic(8) version(u32) header_len(u32) header_payload
 //   { frame } *
@@ -117,16 +117,33 @@ class StateSink {
   std::vector<Entry> entries_;
 };
 
-/// Append-mode stream writer. One begin_stream() per bound device;
-/// write_frame() serialises and flushes (so the crash hook always finds
-/// every completed frame on disk).
+/// The device side of a snapshot frame, walked by the snapshot sink.
+/// cache::Scheme implements it, so this layer needs no device types.
+class FrameSource {
+ public:
+  /// Stream header: device name, geometry and GC thresholds.
+  [[nodiscard]] virtual StreamInfo stream_info() const = 0;
+
+  /// Fill `blocks` and `planes` (resized to the device's counts) and the
+  /// frame's key/value section. Must be a pure observation.
+  virtual void read_frame(std::vector<BlockState>& blocks,
+                          std::vector<PlaneState>& planes,
+                          StateSink& values) const = 0;
+
+ protected:
+  ~FrameSource() = default;
+};
+
+/// Stream writer. One begin_stream() per bound device; write_frame()
+/// serialises and flushes (so the crash hook always finds every
+/// completed frame on disk).
 class SnapshotWriter {
  public:
   SnapshotWriter() = default;
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  /// Open `path` for appending. Returns false (and stays closed) on I/O
+  /// Open `path`, truncating it. Returns false (and stays closed) on I/O
   /// failure.
   bool open(const std::string& path);
   [[nodiscard]] bool is_open() const { return out_.is_open(); }
@@ -240,28 +257,5 @@ struct FlightFile {
 /// prefix loads), mirroring the snapshot and ledger loaders.
 [[nodiscard]] bool load_flight(const std::string& path, FlightFile* out,
                                std::string* error);
-
-// ---- environment knobs --------------------------------------------------
-
-/// Introspection env knobs (read by from_env; all optional):
-///
-///   PPSSD_SNAPSHOT=ms        snapshot interval in sim-time milliseconds
-///   PPSSD_SNAPSHOT_PATH=f    snapshot stream file (default
-///                            ppssd_snapshots.bin, append mode)
-///   PPSSD_FLIGHT=n           flight-recorder ring capacity in events
-///   PPSSD_FLIGHT_PATH=f      crash/finish dump target (default
-///                            ppssd_flight.bin)
-struct IntrospectOptions {
-  SimTime snapshot_every_ns = 0;  // 0 = snapshots off
-  std::string snapshot_path = "ppssd_snapshots.bin";
-  std::uint32_t flight_capacity = 0;  // 0 = flight recorder off
-  std::string flight_path = "ppssd_flight.bin";
-
-  [[nodiscard]] bool any() const {
-    return snapshot_every_ns > 0 || flight_capacity > 0;
-  }
-
-  [[nodiscard]] static IntrospectOptions from_env();
-};
 
 }  // namespace ppssd::telemetry::introspect

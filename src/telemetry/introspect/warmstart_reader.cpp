@@ -127,7 +127,7 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
     if (page_cursor + pages > pg_reprogrammed.size()) {
       return fail(error, "block pages run past the page rows");
     }
-    // Same walk as Snapshotter::snapshot_now: sticky marks count only
+    // Same walk as Scheme::read_frame: sticky marks count only
     // below the frontier (an erase clears the pages but the mark rows
     // are rewritten lazily).
     for (std::uint32_t pg = 0; pg < frontier; ++pg) {

@@ -5,10 +5,10 @@
 //
 // The adapter parses only the *leading* sections of the Ssd::save()
 // payload — the FlashArray state and the BlockManager free lists — and
-// derives exactly the per-block / per-plane figures Snapshotter walks
-// out of a live device (see snapshotter.cpp): write frontier = pages
-// with program ops, valid/invalid from the subpage-state rows,
-// reprogrammed marks below the frontier, free counts from the heap
+// derives exactly the per-block / per-plane figures the snapshot sink
+// walks out of a live device (cache::Scheme::read_frame): write
+// frontier = pages with program ops, valid/invalid from the subpage-state
+// rows, reprogrammed marks below the frontier, free counts from the heap
 // lengths, pressure against the header's GC thresholds. Everything past
 // the BlockManager section (mapping table, scheme side-state, controller
 // queue) is ignored; the container checksum is validated first, so a

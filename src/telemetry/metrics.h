@@ -120,7 +120,7 @@ class MetricsRegistry {
 
   /// JSON snapshot: {"schema":1,"series":{"<id>":value,...}} with keys
   /// in sorted order (deterministic diffs). Selected by a `.json`
-  /// PPSSD_METRICS path. Non-finite values serialize as null.
+  /// TelemetryOptions::metrics_path. Non-finite values serialize as null.
   void write_json(std::ostream& out) const;
 
  private:

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "cache/ipu_scheme.h"
+#include "common/check.h"
 #include "core/runner.h"
 
 namespace ppssd::core {
@@ -97,6 +98,114 @@ TEST(ExperimentResult, SerializeRoundTrip) {
   EXPECT_EQ(parsed->mlc_erases, r.mlc_erases);
   EXPECT_EQ(parsed->map_base_bytes, r.map_base_bytes);
   EXPECT_DOUBLE_EQ(parsed->chip_fg_seconds, r.chip_fg_seconds);
+}
+
+TEST(ExperimentResult, EveryFieldRoundTripsWithDistinctValues) {
+  // Every serialized field gets its own value, so a key written under
+  // one field and read into another (or dropped) cannot go unnoticed.
+  ExperimentResult r;
+  r.spec = tiny_spec();
+  r.avg_read_ms = 1.0625;
+  r.avg_write_ms = 2.125;
+  r.avg_overall_ms = 3.1875;
+  r.p50_read_ms = 4.25;
+  r.p50_write_ms = 5.3125;
+  r.p95_read_ms = 6.375;
+  r.p95_write_ms = 7.4375;
+  r.p99_read_ms = 8.5;
+  r.p99_write_ms = 9.5625;
+  r.p999_read_ms = 10.625;
+  r.p999_write_ms = 11.6875;
+  r.reads = 12;
+  r.writes = 13;
+  r.read_ber = 1.4e-4;
+  r.slc_subpages = 15;
+  r.mlc_subpages = 16;
+  r.level_subpages[0] = 17;
+  r.level_subpages[1] = 18;
+  r.level_subpages[2] = 19;
+  r.level_subpages[3] = 20;
+  r.intra_page_updates = 21;
+  r.gc_utilization = 0.22;
+  r.slc_erases = 23;
+  r.mlc_erases = 24;
+  r.map_base_bytes = 25;
+  r.map_extra_bytes = 26;
+  r.map_aux_bytes = 27;
+  r.slc_gc_count = 28;
+  r.mlc_gc_count = 29;
+  r.evicted_subpages = 30;
+  r.gc_moved_subpages = 31;
+  r.avg_queue_depth = 32.5;
+  r.avg_queue_depth_at_arrival = 33.5;
+  r.chip_fg_seconds = 34.5;
+  r.chip_bg_seconds = 35.5;
+  r.chip_erase_seconds = 36.5;
+  r.ctrl_events = 37;
+  r.wall_seconds = 38.5;
+  r.wall_setup_seconds = 39.5;
+  r.wall_warmup_seconds = 40.5;
+  r.wall_measure_seconds = 41.5;
+  r.wall_report_seconds = 42.5;
+  r.wall_reqs_per_sec = 43.5;
+  r.wall_ctrl_events_per_sec = 44.5;
+
+  const std::string text = r.serialize();
+  EXPECT_EQ(text.rfind("schema=4\nkey=IPU-ts0-pe4000-b1024-s0.002\n", 0), 0u);
+  std::size_t lines = 0;
+  for (const char c : text) lines += c == '\n';
+  EXPECT_EQ(lines, 2u + 44u);  // schema, key, 44 fields
+
+  const auto p = ExperimentResult::deserialize(text);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->avg_read_ms, r.avg_read_ms);
+  EXPECT_EQ(p->avg_write_ms, r.avg_write_ms);
+  EXPECT_EQ(p->avg_overall_ms, r.avg_overall_ms);
+  EXPECT_EQ(p->p50_read_ms, r.p50_read_ms);
+  EXPECT_EQ(p->p50_write_ms, r.p50_write_ms);
+  EXPECT_EQ(p->p95_read_ms, r.p95_read_ms);
+  EXPECT_EQ(p->p95_write_ms, r.p95_write_ms);
+  EXPECT_EQ(p->p99_read_ms, r.p99_read_ms);
+  EXPECT_EQ(p->p99_write_ms, r.p99_write_ms);
+  EXPECT_EQ(p->p999_read_ms, r.p999_read_ms);
+  EXPECT_EQ(p->p999_write_ms, r.p999_write_ms);
+  EXPECT_EQ(p->reads, r.reads);
+  EXPECT_EQ(p->writes, r.writes);
+  EXPECT_EQ(p->read_ber, r.read_ber);
+  EXPECT_EQ(p->slc_subpages, r.slc_subpages);
+  EXPECT_EQ(p->mlc_subpages, r.mlc_subpages);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(p->level_subpages[i], r.level_subpages[i]) << "level" << i;
+  }
+  EXPECT_EQ(p->intra_page_updates, r.intra_page_updates);
+  EXPECT_EQ(p->gc_utilization, r.gc_utilization);
+  EXPECT_EQ(p->slc_erases, r.slc_erases);
+  EXPECT_EQ(p->mlc_erases, r.mlc_erases);
+  EXPECT_EQ(p->map_base_bytes, r.map_base_bytes);
+  EXPECT_EQ(p->map_extra_bytes, r.map_extra_bytes);
+  EXPECT_EQ(p->map_aux_bytes, r.map_aux_bytes);
+  EXPECT_EQ(p->slc_gc_count, r.slc_gc_count);
+  EXPECT_EQ(p->mlc_gc_count, r.mlc_gc_count);
+  EXPECT_EQ(p->evicted_subpages, r.evicted_subpages);
+  EXPECT_EQ(p->gc_moved_subpages, r.gc_moved_subpages);
+  EXPECT_EQ(p->avg_queue_depth, r.avg_queue_depth);
+  EXPECT_EQ(p->avg_queue_depth_at_arrival, r.avg_queue_depth_at_arrival);
+  EXPECT_EQ(p->chip_fg_seconds, r.chip_fg_seconds);
+  EXPECT_EQ(p->chip_bg_seconds, r.chip_bg_seconds);
+  EXPECT_EQ(p->chip_erase_seconds, r.chip_erase_seconds);
+  EXPECT_EQ(p->ctrl_events, r.ctrl_events);
+  EXPECT_EQ(p->wall_seconds, r.wall_seconds);
+  EXPECT_EQ(p->wall_setup_seconds, r.wall_setup_seconds);
+  EXPECT_EQ(p->wall_warmup_seconds, r.wall_warmup_seconds);
+  EXPECT_EQ(p->wall_measure_seconds, r.wall_measure_seconds);
+  EXPECT_EQ(p->wall_report_seconds, r.wall_report_seconds);
+  EXPECT_EQ(p->wall_reqs_per_sec, r.wall_reqs_per_sec);
+  EXPECT_EQ(p->wall_ctrl_events_per_sec, r.wall_ctrl_events_per_sec);
+  // And the text is a fixed point (the key is informational: the runner
+  // restores the spec from the request, not the file).
+  ExperimentResult back = *p;
+  back.spec = r.spec;
+  EXPECT_EQ(back.serialize(), text);
 }
 
 TEST(ExperimentResult, DeserializeRejectsGarbage) {
@@ -199,6 +308,64 @@ TEST(RunnerDeathTest, SchemesEnvFilterRejectsUnknownName) {
   ASSERT_EQ(setenv("PPSSD_SCHEMES", "nope", 1), 0);
   EXPECT_DEATH(Runner::paper_schemes(), "unknown scheme 'nope'");
   unsetenv("PPSSD_SCHEMES");
+}
+
+/// Thrown from the check-failure hook, so a failing PPSSD_CHECK unwinds
+/// into the test instead of aborting it.
+struct CheckFailed {};
+void throw_check_failed(void* /*ctx*/) { throw CheckFailed{}; }
+
+/// Runs fn with `name=value` set and a throwing hook armed; returns what
+/// the failing check printed, or "" when fn returned normally.
+template <typename Fn>
+std::string env_failure(const char* name, const char* value, Fn&& fn) {
+  setenv(name, value, 1);
+  detail::set_check_failure_hook(&throw_check_failed, nullptr);
+  ::testing::internal::CaptureStderr();
+  bool failed = false;
+  try {
+    fn();
+  } catch (const CheckFailed&) {
+    failed = true;
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  detail::set_check_failure_hook(nullptr, nullptr);
+  unsetenv(name);
+  return failed ? err : "";
+}
+
+TEST(RunnerEnv, NumbersMustParseWhole) {
+  const auto spec = [] { (void)Runner::default_spec(); };
+  std::string err = env_failure("PPSSD_BLOCKS", "abc", spec);
+  EXPECT_NE(err.find("PPSSD_BLOCKS='abc'"), std::string::npos) << err;
+  err = env_failure("PPSSD_SCALE", "0.02abc", spec);
+  EXPECT_NE(err.find("PPSSD_SCALE='0.02abc'"), std::string::npos) << err;
+  err = env_failure("PPSSD_BLOCKS", "99999999999", spec);  // > uint32
+  EXPECT_NE(err.find("PPSSD_BLOCKS"), std::string::npos) << err;
+  err = env_failure("PPSSD_JOBS", "abc", [] {
+    Runner runner("");
+    (void)runner.run_all({});
+  });
+  EXPECT_NE(err.find("PPSSD_JOBS='abc'"), std::string::npos) << err;
+  err = env_failure("PPSSD_JOBS", "-1", [] {
+    (void)env_number<std::uint64_t>("PPSSD_JOBS", 1);
+  });
+  EXPECT_NE(err.find("PPSSD_JOBS"), std::string::npos) << err;
+}
+
+TEST(RunnerEnv, WholeNumbersParse) {
+  setenv("PPSSD_BLOCKS", "2048", 1);
+  setenv("PPSSD_SCALE", "0.02", 1);
+  const ExperimentSpec spec = Runner::default_spec();
+  unsetenv("PPSSD_BLOCKS");
+  unsetenv("PPSSD_SCALE");
+  EXPECT_EQ(spec.total_blocks, 2048u);
+  EXPECT_EQ(spec.trace_scale, 0.02);
+  // Unset or empty keeps the default.
+  setenv("PPSSD_SCALE", "", 1);
+  EXPECT_EQ(env_number("PPSSD_SCALE", 0.15), 0.15);
+  unsetenv("PPSSD_SCALE");
+  EXPECT_EQ(env_number<std::uint64_t>("PPSSD_JOBS", 3), 3u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end checks of the device-state introspection layer: the
 // Scheme::inspect() hook against an independent device recount, the
-// snapshotter's frames against the loader and the conservation rules
+// snapshot sink's frames against the loader and the conservation rules
 // device_inspect re-verifies, the flight recorder fed by the real
 // controller, and the no-perturbation / near-zero-overhead guarantees
 // for the detached configuration.
@@ -15,7 +15,7 @@
 #include "common/rng.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/format.h"
-#include "telemetry/introspect/snapshotter.h"
+#include "telemetry/telemetry.h"
 
 namespace ppssd::sim {
 namespace {
@@ -25,14 +25,14 @@ namespace intro = telemetry::introspect;
 /// Mixed write-heavy churn, enough to trigger SLC GC on the scaled
 /// device (mirrors the attribution e2e workload).
 void churn(Ssd& ssd, int requests, SimTime* now,
-           intro::Snapshotter* snap = nullptr) {
+           telemetry::Telemetry* tel = nullptr) {
   Rng rng(42);
   for (int i = 0; i < requests; ++i) {
     const OpType op = rng.next_below(4) == 3 ? OpType::kRead : OpType::kWrite;
     const std::uint64_t off = rng.next_below(4000) * kSubpageBytes;
     ssd.submit(op, off, kSubpageBytes, *now);
     *now += us_to_ns(15.0);
-    if (snap != nullptr) snap->tick(*now);
+    if (tel != nullptr) tel->on_request(*now);
   }
 }
 
@@ -88,7 +88,7 @@ TEST(Snapshotter, ProducesLoadableConservingFrames) {
   const std::string snap_path = fresh_path("introspect_e2e_snap.bin");
   const std::string flight_path = fresh_path("introspect_e2e_flight.bin");
 
-  intro::IntrospectOptions opts;
+  telemetry::TelemetryOptions opts;
   opts.snapshot_every_ns = ms_to_ns(20.0);
   opts.snapshot_path = snap_path;
   // Wide enough to retain GC decisions between cleaning bursts (steady
@@ -97,16 +97,16 @@ TEST(Snapshotter, ProducesLoadableConservingFrames) {
   opts.flight_path = flight_path;
 
   Ssd ssd(SsdConfig::scaled(2048), "IPU");
-  intro::Snapshotter snap(opts);
-  ssd.attach_introspection(&snap);
+  telemetry::Telemetry tel(opts);
+  ssd.attach_telemetry(&tel);
 
   // Long enough to saturate the SLC regions and run steady-state GC
   // (free blocks reach the threshold around request ~20k at this scale).
   SimTime now = 0;
-  churn(ssd, 30000, &now, &snap);
-  snap.finish(now);
-  ssd.attach_introspection(nullptr);
-  EXPECT_GE(snap.frames_written(), 2u);
+  churn(ssd, 30000, &now, &tel);
+  tel.finish(now);
+  ssd.attach_telemetry(nullptr);
+  EXPECT_GE(tel.frames_written(), 2u);
 
   intro::SnapshotFile file;
   std::string error;
@@ -116,7 +116,7 @@ TEST(Snapshotter, ProducesLoadableConservingFrames) {
   EXPECT_EQ(stream.info.scheme, "IPU");
   const auto& geom = ssd.scheme().array().geometry();
   EXPECT_EQ(stream.info.total_blocks, geom.total_blocks());
-  ASSERT_EQ(stream.frames.size(), snap.frames_written());
+  ASSERT_EQ(stream.frames.size(), tel.frames_written());
 
   // Re-verify the core conservation rules on every frame, independently
   // of device_inspect: per-block bounds, mode/region agreement, and the
@@ -179,13 +179,13 @@ TEST(Snapshotter, AttachedObserverDoesNotPerturbCompletions) {
   Ssd plain(c, "IPU");
   Ssd probed(c, "IPU");
 
-  intro::IntrospectOptions opts;
+  telemetry::TelemetryOptions opts;
   opts.snapshot_every_ns = ms_to_ns(2.0);
   opts.snapshot_path = snap_path;
   opts.flight_capacity = 256;
   opts.flight_path = flight_path;
-  intro::Snapshotter snap(opts);
-  probed.attach_introspection(&snap);
+  telemetry::Telemetry tel(opts);
+  probed.attach_telemetry(&tel);
 
   Rng rng(7);
   SimTime now = 0;
@@ -197,16 +197,57 @@ TEST(Snapshotter, AttachedObserverDoesNotPerturbCompletions) {
     ASSERT_EQ(a.finish, b.finish) << "request " << i;
     ASSERT_EQ(a.drained, b.drained) << "request " << i;
     now += us_to_ns(15.0);
-    snap.tick(now);
+    tel.on_request(now);
   }
-  snap.finish(now);
-  probed.attach_introspection(nullptr);
+  tel.finish(now);
+  probed.attach_telemetry(nullptr);
+  std::remove(snap_path.c_str());
+  std::remove(flight_path.c_str());
+}
+
+// Snapshots and the flight recorder read device state and their own ring,
+// so a bundle of only those sinks must not register (or, on the hot
+// path, update) the per-op instruments of the other sinks.
+TEST(Snapshotter, SnapshotAndFlightOnlyBundleRegistersNoInstruments) {
+  const std::string snap_path = fresh_path("introspect_uninstr_snap.bin");
+  const std::string flight_path = fresh_path("introspect_uninstr_flight.bin");
+  telemetry::TelemetryOptions opts;
+  opts.snapshot_every_ns = ms_to_ns(2.0);
+  opts.snapshot_path = snap_path;
+  opts.flight_capacity = 256;
+  opts.flight_path = flight_path;
+  ASSERT_FALSE(opts.instrumented());
+
+  Ssd ssd(SsdConfig::scaled(2048), "IPU");
+  telemetry::Telemetry tel(opts);
+  EXPECT_FALSE(tel.instrumented());
+  ssd.attach_telemetry(&tel);
+  SimTime now = 0;
+  churn(ssd, 2000, &now, &tel);
+  EXPECT_EQ(tel.registry().instrument_count(), 0u);
+  ASSERT_NE(tel.flight(), nullptr);
+  EXPECT_GT(tel.flight()->recorded(), 0u);
+  EXPECT_GE(tel.frames_written(), 1u);
+  tel.finish(now);
+  ssd.attach_telemetry(nullptr);
+
+  // Any instrumented sink brings the full registration back.
+  telemetry::TelemetryOptions with_attrib = opts;
+  with_attrib.snapshot_every_ns = 0;
+  with_attrib.flight_capacity = 0;
+  with_attrib.attribution = true;
+  telemetry::Telemetry instrumented(with_attrib);
+  EXPECT_TRUE(instrumented.instrumented());
+  Ssd other(SsdConfig::scaled(2048), "IPU");
+  other.attach_telemetry(&instrumented);
+  EXPECT_GT(instrumented.registry().instrument_count(), 0u);
+  other.attach_telemetry(nullptr);
   std::remove(snap_path.c_str());
   std::remove(flight_path.c_str());
 }
 
 // The acceptance bar for the off configuration, mirroring the disabled-
-// profiler test: a device with no snapshotter attached must not look
+// profiler test: a device with no snapshot bundle attached must not look
 // like it is doing the attached device's work. A/B-time the same submit
 // loop; generous 8x bound to shed CI noise (the attached run records
 // two flight events per op and walks the device on interval crossings).
@@ -217,13 +258,13 @@ TEST(Snapshotter, DetachedSubmitPathIsFreeComparedToAttached) {
 
   auto time_run = [&](bool attached) {
     Ssd ssd(SsdConfig::scaled(2048), "IPU");
-    intro::IntrospectOptions opts;
+    telemetry::TelemetryOptions opts;
     opts.snapshot_every_ns = ms_to_ns(5.0);
     opts.snapshot_path = snap_path;
     opts.flight_capacity = 4096;
     opts.flight_path = flight_path;
-    intro::Snapshotter snap(opts);
-    if (attached) ssd.attach_introspection(&snap);
+    telemetry::Telemetry tel(opts);
+    if (attached) ssd.attach_telemetry(&tel);
 
     Rng rng(3);
     SimTime now = 0;
@@ -234,14 +275,14 @@ TEST(Snapshotter, DetachedSubmitPathIsFreeComparedToAttached) {
       const std::uint64_t off = rng.next_below(4000) * kSubpageBytes;
       ssd.submit(op, off, kSubpageBytes, now);
       now += us_to_ns(15.0);
-      if (attached) snap.tick(now);
+      if (attached) tel.on_request(now);
     }
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
     if (attached) {
-      snap.finish(now);
-      ssd.attach_introspection(nullptr);
+      tel.finish(now);
+      ssd.attach_telemetry(nullptr);
     }
     return seconds;
   };

@@ -1,4 +1,4 @@
-// Snapshot stream + flight recorder format layer: append-mode streams
+// Snapshot stream + flight recorder format layer: multi-stream files
 // round-trip, truncated tails load as the complete prefix (the same
 // contract the attribution ledger loader makes), and the flight ring
 // retains the newest events once it wraps.
@@ -11,6 +11,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "telemetry/telemetry.h"
 
 namespace ppssd::telemetry::introspect {
 namespace {
@@ -120,22 +122,23 @@ TEST(SnapshotFormat, RoundTripsFramesAndKeyValues) {
   EXPECT_EQ(stream.frames[1].seq, 1u);
 }
 
-TEST(SnapshotFormat, AppendModeAccumulatesStreams) {
+TEST(SnapshotFormat, StreamsAccumulateAndReopenTruncates) {
   const std::string path = fresh_path("introspect_multistream.bin");
-  {
+  const auto write_two_streams = [&] {
     SnapshotWriter writer;
     ASSERT_TRUE(writer.open(path));
     writer.begin_stream(small_info("Baseline"));
     writer.write_frame(10, sample_blocks(), sample_planes());
-  }
-  {
-    // Second binding (a later sequential cell) appends its own stream.
-    SnapshotWriter writer;
-    ASSERT_TRUE(writer.open(path));
+    // A second bound device on the same writer starts its own stream.
     writer.begin_stream(small_info("IPS"));
     writer.write_frame(20, sample_blocks(), sample_planes());
     writer.write_frame(30, sample_blocks(), sample_planes());
-  }
+  };
+  write_two_streams();
+  const std::string first_run = slurp(path);
+  // Reopening truncates: a rerun replaces the file instead of growing it.
+  write_two_streams();
+  EXPECT_EQ(slurp(path), first_run);
 
   SnapshotFile file;
   std::string error;
@@ -240,28 +243,27 @@ TEST(FlightRecorder, DumpRoundTripsAndToleratesTruncation) {
   EXPECT_EQ(file.events.back().id, 3u);
 }
 
-TEST(IntrospectOptions, FromEnvParsesKnobsAndDefaults) {
-  unsetenv("PPSSD_SNAPSHOT");
-  unsetenv("PPSSD_SNAPSHOT_PATH");
-  unsetenv("PPSSD_FLIGHT");
-  unsetenv("PPSSD_FLIGHT_PATH");
-  EXPECT_FALSE(IntrospectOptions::from_env().any());
+TEST(ObserveEnv, SnapshotAndFlightSinksUseTheFixedTuning) {
+  unsetenv("PPSSD_OBSERVE");
+  unsetenv("PPSSD_OBSERVE_DIR");
+  EXPECT_FALSE(TelemetryOptions::from_env("cell").any());
 
-  setenv("PPSSD_SNAPSHOT", "5", 1);
-  setenv("PPSSD_FLIGHT", "1024", 1);
-  setenv("PPSSD_SNAPSHOT_PATH", "snap.bin", 1);
-  setenv("PPSSD_FLIGHT_PATH", "flight.bin", 1);
-  const IntrospectOptions opts = IntrospectOptions::from_env();
+  setenv("PPSSD_OBSERVE", "snapshot,flight", 1);
+  setenv("PPSSD_OBSERVE_DIR", "out", 1);
+  const TelemetryOptions opts = TelemetryOptions::from_env("cell");
   EXPECT_TRUE(opts.any());
-  EXPECT_EQ(opts.snapshot_every_ns, 5'000'000u);  // ms -> ns
-  EXPECT_EQ(opts.flight_capacity, 1024u);
-  EXPECT_EQ(opts.snapshot_path, "snap.bin");
-  EXPECT_EQ(opts.flight_path, "flight.bin");
+  EXPECT_EQ(opts.snapshot_every_ns, 10'000'000u);  // 10 ms
+  EXPECT_EQ(opts.flight_capacity, 4096u);
+  EXPECT_EQ(opts.snapshot_path, "out/cell.snap.bin");
+  EXPECT_EQ(opts.flight_path, "out/cell.flight.bin");
+  EXPECT_TRUE(opts.trace_path.empty());
+  EXPECT_TRUE(opts.attribution_path.empty());
 
-  unsetenv("PPSSD_SNAPSHOT");
-  unsetenv("PPSSD_SNAPSHOT_PATH");
-  unsetenv("PPSSD_FLIGHT");
-  unsetenv("PPSSD_FLIGHT_PATH");
+  // Without PPSSD_OBSERVE_DIR the files land in ppssd_observe/.
+  unsetenv("PPSSD_OBSERVE_DIR");
+  EXPECT_EQ(TelemetryOptions::from_env("cell").snapshot_path,
+            "ppssd_observe/cell.snap.bin");
+  unsetenv("PPSSD_OBSERVE");
 }
 
 }  // namespace

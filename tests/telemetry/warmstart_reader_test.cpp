@@ -1,7 +1,7 @@
 // The warm-start checkpoint → snapshot adapter
 // (telemetry/introspect/warmstart_reader.h) re-derives BlockState /
-// PlaneState from raw checkpoint bytes. The oracle is the live
-// Snapshotter walking the very device the checkpoint was cut from: the
+// PlaneState from raw checkpoint bytes. The oracle is the live snapshot
+// sink walking the very device the checkpoint was cut from: the
 // synthetic frame must match the walker's frame field for field, or a
 // layout drift in FlashArray::save / BlockManager::save has silently
 // broken the tool path.
@@ -19,7 +19,7 @@
 #include "core/warmstart.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
-#include "telemetry/introspect/snapshotter.h"
+#include "telemetry/telemetry.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
 
@@ -50,7 +50,7 @@ struct CheckpointAndOracle {
   SnapshotFile oracle;  // one stream, one live-walker frame at t=0
 };
 
-/// Store a checkpoint of a warmed device and capture the Snapshotter's
+/// Store a checkpoint of a warmed device and capture the snapshot sink's
 /// view of the same device as the comparison oracle.
 CheckpointAndOracle make_fixture(const std::string& dir) {
   fs::remove_all(dir);
@@ -60,12 +60,15 @@ CheckpointAndOracle make_fixture(const std::string& dir) {
   EXPECT_TRUE(cache.store(kKey, *ssd));
 
   const std::string snap_path = dir + "/oracle_snapshots.bin";
-  IntrospectOptions opts;
+  telemetry::TelemetryOptions opts;
   opts.snapshot_every_ns = 1;  // tick-driven snapshots unused; finish() walks
   opts.snapshot_path = snap_path;
-  Snapshotter snap(opts);
-  EXPECT_TRUE(snap.bind(ssd->scheme()));
-  snap.finish(0);
+  {
+    telemetry::Telemetry tel(opts);
+    ssd->attach_telemetry(&tel);
+    tel.finish(0);
+    ssd->attach_telemetry(nullptr);
+  }
 
   CheckpointAndOracle out;
   out.ckpt_path = cache.path_for(kKey);

@@ -1,4 +1,5 @@
-// Inspect device-state snapshot streams written by PPSSD_SNAPSHOT.
+// Inspect device-state snapshot streams (the snapshot sink of
+// PPSSD_OBSERVE writes one <cell>.snap.bin per experiment cell).
 //
 //   device_inspect <snapshots.bin> [options]
 //
@@ -444,7 +445,7 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) {
     // Flight-only invocations are allowed: a crash dump may exist with
-    // no snapshot stream (PPSSD_FLIGHT without PPSSD_SNAPSHOT).
+    // no snapshot stream (the flight sink without the snapshot sink).
     if (!flight_path.empty()) return summarize_flight(flight_path);
     print_usage(stderr, argv[0]);
     return kExitUsage;

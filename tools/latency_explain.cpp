@@ -2,8 +2,9 @@
 //
 //   latency_explain <ledger.bin> [--top <k>] [--trace <trace.json>]
 //
-// Reads the per-request blame ledger written by PPSSD_ATTRIB (see
-// src/telemetry/attribution) and prints:
+// Reads the per-request blame ledger written by the attrib sink of
+// PPSSD_OBSERVE (<cell>.ledger.bin; see src/telemetry/attribution) and
+// prints:
 //
 //  * overall latency percentiles (p50/p95/p99/p999/max);
 //  * the additive component breakdown — total ns, share of all measured
