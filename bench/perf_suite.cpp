@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/env.h"
 #include "common/units.h"
 #include "perf/bench_report.h"
 #include "sim/ssd.h"
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
   const auto spec = Runner::default_spec();
   report.blocks = spec.total_blocks;
   report.scale = spec.trace_scale;
-  report.jobs = core::env_number<std::uint64_t>("PPSSD_JOBS", 1);
+  report.jobs = env_number<std::uint64_t>("PPSSD_JOBS", 1);
 
   Table table({"cell", "requests", "wall s", "req/s", "ctrl ev/s",
                "measure s", "warmup s"});

@@ -15,11 +15,9 @@
 // The checksum (FNV-1a over the payload) is validated *before* any layer
 // restore runs, so the layer restores may assume integrity and hard-check
 // shape; everything the container check rejects is treated as a cache
-// miss, never an abort. This header is shared by the writer
-// (core/warmstart) and the read-only snapshot adapter
-// (telemetry/introspect/warmstart_reader), which parses the leading
-// FlashArray section of the payload — see FlashArray::save() for that
-// layout.
+// miss, never an abort. core/warmstart is the container's only writer
+// and its only reader (restore_checkpoint); the payload is decoded by
+// Ssd::restore() alone.
 #pragma once
 
 #include <cstdint>

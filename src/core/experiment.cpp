@@ -5,10 +5,11 @@
 #include <memory>
 #include <sstream>
 #include <type_traits>
+#include <vector>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "core/warmstart.h"
-#include "perf/profiler.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
 #include "telemetry/telemetry.h"
@@ -77,6 +78,48 @@ std::string ExperimentSpec::key() const {
   return os.str();
 }
 
+std::optional<ExperimentSpec> ExperimentSpec::from_key(std::string_view key) {
+  std::vector<std::string_view> parts;
+  for (std::size_t begin = 0;;) {
+    const std::size_t dash = key.find('-', begin);
+    parts.push_back(key.substr(begin, dash - begin));
+    if (dash == std::string_view::npos) break;
+    begin = dash + 1;
+  }
+  if (parts.size() < 5) return std::nullopt;
+  // `prefix` then a number, e.g. "pe4000".
+  const auto tagged = [](std::string_view part, std::string_view prefix,
+                         auto* out) {
+    if (part.substr(0, prefix.size()) != prefix) return false;
+    const auto v = parse_number<std::remove_pointer_t<decltype(out)>>(
+        part.substr(prefix.size()));
+    if (v) *out = *v;
+    return v.has_value();
+  };
+  ExperimentSpec spec;
+  spec.scheme = parts[0];
+  spec.trace = parts[1];
+  if (spec.scheme.empty() || spec.trace.empty() ||
+      !tagged(parts[2], "pe", &spec.pe_cycles) ||
+      !tagged(parts[3], "b", &spec.total_blocks) ||
+      !tagged(parts[4], "s", &spec.trace_scale)) {
+    return std::nullopt;
+  }
+  // Options: a lowercase name, then a value that starts with anything
+  // but a lowercase letter ("isr1").
+  for (std::size_t i = 5; i < parts.size(); ++i) {
+    const std::string_view part = parts[i];
+    const std::size_t split = part.find_first_not_of(
+        "abcdefghijklmnopqrstuvwxyz_");
+    if (split == 0 || split == std::string_view::npos) return std::nullopt;
+    spec.options.set(part.substr(0, split), part.substr(split));
+  }
+  // Only the canonical spelling is a key: not "s0.020", "pe04000", or a
+  // repeated option.
+  if (spec.key() != key) return std::nullopt;
+  return spec;
+}
+
 SsdConfig config_for(const ExperimentSpec& spec) {
   SsdConfig cfg = spec.total_blocks == 65536
                       ? SsdConfig::paper()
@@ -87,8 +130,6 @@ SsdConfig config_for(const ExperimentSpec& spec) {
 
 ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 perf::ProgressSink* progress) {
-  perf::Profiler::init_from_env();
-  PPSSD_PROFILE_SCOPE("experiment");
   const auto wall_start = Clock::now();
   auto phase_start = wall_start;
 
@@ -98,7 +139,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   std::unique_ptr<sim::Ssd> ssd_owner;
   std::unique_ptr<trace::SyntheticWorkload> workload_owner;
   {
-    PPSSD_PROFILE_SCOPE("setup");
     const SsdConfig cfg = config_for(spec);
     ssd_owner = std::make_unique<sim::Ssd>(
         cfg, cache::make_scheme(spec.scheme, cfg, spec.options));
@@ -129,7 +169,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   // Restores are behavior-preserving to the byte, so measured results are
   // identical either way; a miss warms cold and stores the checkpoint.
   {
-    PPSSD_PROFILE_SCOPE("warmup");
     const WarmStartCache warmstart = WarmStartCache::from_env();
     const std::string spec_key = spec.key();
     if (!warmstart.try_restore(spec_key, ssd)) {
@@ -152,16 +191,11 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     progress->begin(workload.expected_records());
     replayer.set_progress(progress);
   }
-  sim::ReplayResult replay;
-  {
-    PPSSD_PROFILE_SCOPE("measure");
-    replay = replayer.replay(workload);
-  }
+  const sim::ReplayResult replay = replayer.replay(workload);
   if (tel) tel->finish(replay.makespan);
   r.wall_measure_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
-  PPSSD_PROFILE_SCOPE("report");
   const auto& m = ssd.scheme().metrics();
   const auto fp = ssd.scheme().footprint();
   const auto& counters = ssd.scheme().array().counters();
@@ -290,40 +324,41 @@ std::string ExperimentResult::serialize() const {
 std::optional<ExperimentResult> ExperimentResult::deserialize(
     const std::string& text) {
   ExperimentResult r;
+  std::size_t field_count = 0;
+  for_each_field(r, [&](const char*, const auto&) { ++field_count; });
+  // A record is whole only when the schema line and every field of the
+  // table are present: a truncated file is a miss, never zeros.
+  std::vector<bool> seen(field_count, false);
+  bool schema_ok = false;
   std::istringstream in(text);
   std::string line;
-  int seen = 0;
-  bool schema_ok = false;
   while (std::getline(in, line)) {
     const auto eq = line.find('=');
     if (eq == std::string::npos) continue;
     const std::string k = line.substr(0, eq);
-    const std::string v = line.substr(eq + 1);
-    try {
-      if (k == "schema") {
-        if (std::stoi(v) != kResultSchemaVersion) return std::nullopt;
-        schema_ok = true;
-        ++seen;
-      } else if (k == "key") {
-        ++seen;  // informational
-      } else {
-        for_each_field(r, [&](const char* key, auto& field) {
-          using T = std::decay_t<decltype(field)>;
-          if (k != key) return;
-          if constexpr (std::is_same_v<T, double>) {
-            field = std::stod(v);
-          } else {
-            field = std::stoull(v);
-          }
-          ++seen;
-        });
-      }
-    } catch (...) {
-      return std::nullopt;
+    const std::string_view v = std::string_view(line).substr(eq + 1);
+    if (k == "schema") {
+      if (parse_number<int>(v) != kResultSchemaVersion) return std::nullopt;
+      schema_ok = true;
+      continue;
     }
+    bool ok = true;
+    std::size_t i = 0;
+    for_each_field(r, [&](const char* key, auto& field) {
+      if (k == key) {
+        const auto parsed = parse_number<std::decay_t<decltype(field)>>(v);
+        ok = parsed.has_value();
+        if (ok) field = *parsed;
+        seen[i] = true;
+      }
+      ++i;
+    });
+    if (!ok) return std::nullopt;
   }
   if (!schema_ok) return std::nullopt;  // pre-versioning or foreign file
-  if (seen < 10) return std::nullopt;   // clearly truncated
+  if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+    return std::nullopt;  // truncated
+  }
   return r;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "cache/registry.h"
 #include "cache/scheme.h"
@@ -31,6 +32,15 @@ struct ExperimentSpec {
 
   /// Stable identity string (cache key, log label).
   [[nodiscard]] std::string key() const;
+
+  /// The inverse of key(): the spec whose key() is exactly `key`, or
+  /// nullopt when `key` is not such a string. Option values must start
+  /// with something other than a lowercase letter (every registered
+  /// option is 0/1), so "-isr1" splits into name "isr" and value "1".
+  /// Scheme names and option names are not checked against the
+  /// registry here.
+  [[nodiscard]] static std::optional<ExperimentSpec> from_key(
+      std::string_view key);
 };
 
 struct ExperimentResult {

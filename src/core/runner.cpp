@@ -1,15 +1,14 @@
 #include "core/runner.h"
 
-#include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/env.h"
 #include "common/thread_pool.h"
-#include "perf/profiler.h"
 #include "perf/progress.h"
 #include "telemetry/telemetry.h"
 #include "trace/profiles.h"
@@ -23,32 +22,12 @@ std::string env_or(const char* name, const std::string& fallback) {
 }
 }  // namespace
 
-template <typename T>
-T env_number(const char* name, T fallback) {
-  const std::string v = env_or(name, "");
-  if (v.empty()) return fallback;
-  T out{};
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  PPSSD_CHECK_MSG(ec == std::errc() && end == v.data() + v.size(),
-                  (std::string(name) + "='" + v + "' is not a valid number")
-                      .c_str());
-  return out;
-}
-
-template std::uint32_t env_number(const char*, std::uint32_t);
-template std::uint64_t env_number(const char*, std::uint64_t);
-template double env_number(const char*, double);
-
 Runner::Runner()
-    : cache_dir_(env_or("PPSSD_NO_CACHE", "").empty()
-                     ? env_or("PPSSD_CACHE_DIR", ".ppssd_cache")
-                     : "") {
-  perf::Profiler::init_from_env();
-}
+    : cache_dir_(env_flag("PPSSD_NO_CACHE", false)
+                     ? ""
+                     : env_or("PPSSD_CACHE_DIR", ".ppssd_cache")) {}
 
-Runner::Runner(std::string cache_dir) : cache_dir_(std::move(cache_dir)) {
-  perf::Profiler::init_from_env();
-}
+Runner::Runner(std::string cache_dir) : cache_dir_(std::move(cache_dir)) {}
 
 std::string Runner::cache_path(const ExperimentSpec& spec) const {
   // The schema version is part of the key: a result-layout change makes
@@ -85,10 +64,11 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) {
                        result.reads + result.writes);
 
   if (!cache_dir_.empty()) {
+    // Published atomically: a reader, or a run cut short mid-write,
+    // never sees a half-written record.
     std::error_code ec;
     std::filesystem::create_directories(cache_dir_, ec);
-    std::ofstream out(cache_path(spec));
-    if (out) out << result.serialize();
+    (void)write_file_atomic(cache_path(spec), {result.serialize()});
   }
   return result;
 }
@@ -134,7 +114,7 @@ std::vector<ExperimentResult> Runner::run_matrix(
 
 ExperimentSpec Runner::default_spec() {
   ExperimentSpec spec;
-  if (!env_or("REPRO_FULL", "").empty()) {
+  if (env_flag("REPRO_FULL", false)) {
     spec.total_blocks = 65536;
     spec.trace_scale = 1.0;
   }

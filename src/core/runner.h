@@ -11,6 +11,9 @@
 //   PPSSD_SCALE=f      trace-length fraction override
 //   PPSSD_NO_CACHE=1   disable the disk cache
 //
+// Each cell's result is written atomically (temp file + rename), and a
+// cache file that does not carry every field of the record is a miss.
+//
 // Matrix-level knobs (run_all / run_matrix / paper_schemes):
 //   PPSSD_JOBS=n       simulate up to n cells concurrently (default 1).
 //                      Each cell owns its Ssd and deterministic RNG, so
@@ -21,8 +24,9 @@
 //                      insensitive). Unknown names abort with the list
 //                      of known schemes.
 //
-// Numeric knobs parse strictly (env_number): a value that is not a
-// whole number fails fast, naming the variable. PPSSD_OBSERVE (see
+// Knobs parse strictly (common/env.h): a number that does not parse in
+// full, or a switch that is not 0 or 1, fails fast, naming the
+// variable. PPSSD_OBSERVE (see
 // telemetry/telemetry.h) makes every cell re-simulate and run
 // sequentially.
 #pragma once
@@ -33,13 +37,6 @@
 #include "core/experiment.h"
 
 namespace ppssd::core {
-
-/// $name parsed as a T (std::uint32_t, std::uint64_t or double);
-/// `fallback` when unset or empty. Anything but a whole, in-range
-/// number ("abc", "0.02abc", "-1" for an unsigned knob) fails a
-/// PPSSD_CHECK that names the variable and its value.
-template <typename T>
-[[nodiscard]] T env_number(const char* name, T fallback);
 
 class Runner {
  public:

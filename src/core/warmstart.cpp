@@ -1,11 +1,14 @@
 #include "core/warmstart.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -14,17 +17,27 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "cache/registry.h"
+#include "common/atomic_file.h"
+#include "common/env.h"
 #include "common/state_io.h"
 #include "common/warmstart_format.h"
+#include "core/experiment.h"
 #include "nand/geometry.h"
 #include "perf/progress.h"
 #include "sim/ssd.h"
+#include "telemetry/introspect/format.h"
+#include "trace/profiles.h"
 
 namespace ppssd::core {
 
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr const char* kNotACheckpoint =
+    "not a warm-start checkpoint (bad magic, container version, or "
+    "truncated header)";
 
 void warn(const std::string& message) {
   perf::ProgressReporter::global().note("[ppssd] warm-start: " + message);
@@ -114,10 +127,8 @@ class MappedCheckpoint {
 }  // namespace
 
 WarmStartCache WarmStartCache::from_env() {
-  const char* flag = std::getenv("PPSSD_WARMSTART");
-  const bool enabled = flag != nullptr && flag[0] == '1';
   const char* dir = std::getenv("PPSSD_WARMSTART_DIR");
-  return WarmStartCache(enabled,
+  return WarmStartCache(env_flag("PPSSD_WARMSTART", false),
                         dir != nullptr ? dir : ".ppssd_warmstart");
 }
 
@@ -126,24 +137,15 @@ std::string WarmStartCache::path_for(const std::string& key) const {
          key + ".ckpt";
 }
 
-bool WarmStartCache::try_restore(const std::string& key,
-                                 sim::Ssd& ssd) const {
-  if (!enabled_) return false;
-  const std::string path = path_for(key);
-
+std::string restore_checkpoint(const std::string& path,
+                               const std::string& key, sim::Ssd& ssd) {
   const MappedCheckpoint bytes(path);
-  if (!bytes.opened()) return false;  // no checkpoint: silent miss
+  if (!bytes.opened()) return "cannot read file";
 
   io::StateSource src(bytes.data(), bytes.size());
   io::warmstart::Header h;
-  if (!io::warmstart::read_header(src, &h)) {
-    warn("ignoring stale/corrupt checkpoint " + path);
-    return false;
-  }
-  if (h.key != key) {
-    warn("ignoring checkpoint with foreign key at " + path);
-    return false;
-  }
+  if (!io::warmstart::read_header(src, &h)) return kNotACheckpoint;
+  if (h.key != key) return "checkpoint holds foreign key '" + h.key + "'";
   // Cross-check the device shape before the payload touches it; a
   // mismatch here (key collision, edited config) must stay a soft miss,
   // while post-checksum shape mismatches inside restore() are hard
@@ -157,8 +159,7 @@ bool WarmStartCache::try_restore(const std::string& key,
       h.mlc_pages_per_block != want.mlc_pages_per_block ||
       h.slc_gc_threshold != want.slc_gc_threshold ||
       h.mlc_gc_threshold != want.mlc_gc_threshold) {
-    warn("ignoring checkpoint with mismatched geometry at " + path);
-    return false;
+    return "checkpoint geometry does not match the device";
   }
 
   // Validate the payload in full before any layer restore runs: the
@@ -166,21 +167,101 @@ bool WarmStartCache::try_restore(const std::string& key,
   // stored checksum. After this gate, Ssd::restore may assume integrity.
   const std::size_t header_end = src.pos();
   if (bytes.size() - header_end != h.payload_size) {
-    warn("ignoring truncated checkpoint " + path);
-    return false;
+    return "payload size disagrees with the container header (truncated "
+           "or padded file)";
   }
   const std::uint8_t* payload = bytes.data() + header_end;
   const std::size_t payload_size = static_cast<std::size_t>(h.payload_size);
   if (io::warmstart::fnv1a(payload, payload_size) != h.payload_checksum) {
-    warn("ignoring corrupt checkpoint " + path);
-    return false;
+    return "payload checksum mismatch";
   }
 
   io::StateSource payload_src(payload, payload_size);
   ssd.restore(payload_src);
   PPSSD_CHECK_MSG(payload_src.exhausted(),
                   "warm-start payload has trailing bytes after restore");
+  return "";
+}
+
+bool is_checkpoint_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char magic[8] = {};
+  in.read(magic, sizeof magic);
+  return in && std::string_view(magic, sizeof magic) == io::warmstart::kMagic;
+}
+
+namespace {
+
+/// Rebuild the cell's device named by a checkpoint's header key and
+/// restore it; nullptr with `*error` set on any rejection.
+std::unique_ptr<sim::Ssd> open_checkpoint(const std::string& path,
+                                          std::string* error) {
+  const auto fail = [error](const std::string& what) {
+    *error = what;
+    return nullptr;
+  };
+  io::warmstart::Header h;
+  {
+    const MappedCheckpoint bytes(path);
+    if (!bytes.opened()) return fail("cannot read file");
+    io::StateSource src(bytes.data(), bytes.size());
+    if (!io::warmstart::read_header(src, &h)) return fail(kNotACheckpoint);
+  }
+  const std::optional<ExperimentSpec> spec = ExperimentSpec::from_key(h.key);
+  if (!spec) return fail("header key '" + h.key + "' is not a cell key");
+  const cache::SchemeInfo* scheme =
+      cache::SchemeRegistry::instance().find(spec->scheme);
+  if (scheme == nullptr || scheme->name != spec->scheme) {
+    return fail("header key names unknown scheme '" + spec->scheme + "'");
+  }
+  const auto& profiles = trace::paper_profiles();
+  if (std::none_of(profiles.begin(), profiles.end(),
+                   [&](const trace::TraceProfile& p) {
+                     return p.name == spec->trace;
+                   })) {
+    return fail("header key names unknown trace '" + spec->trace + "'");
+  }
+  const SsdConfig cfg = config_for(*spec);
+  if (!cfg.validate().empty() ||
+      cfg.geometry.total_blocks != h.total_blocks ||
+      cfg.geometry.planes() != h.planes) {
+    return fail("header key '" + h.key +
+                "' disagrees with the header geometry");
+  }
+  auto ssd = std::make_unique<sim::Ssd>(
+      cfg, cache::make_scheme(spec->scheme, cfg, spec->options));
+  const std::string why = restore_checkpoint(path, h.key, *ssd);
+  if (!why.empty()) return fail(why);
+  return ssd;
+}
+
+}  // namespace
+
+bool load_checkpoint_as_snapshot(const std::string& path,
+                                 telemetry::introspect::SnapshotFile* out,
+                                 std::string* error) {
+  const std::unique_ptr<sim::Ssd> ssd = open_checkpoint(path, error);
+  if (ssd == nullptr) return false;
+  telemetry::introspect::SnapshotStream stream;
+  stream.info = ssd->scheme().stream_info();
+  telemetry::introspect::SnapshotFrame frame;
+  ssd->scheme().read_frame(frame.blocks, frame.planes, frame.values);
+  stream.frames.push_back(std::move(frame));
+  out->streams.clear();
+  out->streams.push_back(std::move(stream));
+  out->truncated_bytes = 0;
   return true;
+}
+
+bool WarmStartCache::try_restore(const std::string& key,
+                                 sim::Ssd& ssd) const {
+  if (!enabled_) return false;
+  const std::string path = path_for(key);
+  std::error_code ec;
+  if (!fs::exists(path, ec)) return false;  // no checkpoint: silent miss
+  const std::string why = restore_checkpoint(path, key, ssd);
+  if (!why.empty()) warn("ignoring " + path + ": " + why);
+  return why.empty();
 }
 
 bool WarmStartCache::store(const std::string& key,
@@ -203,37 +284,15 @@ bool WarmStartCache::store(const std::string& key,
   io::warmstart::write_header(file_sink, h);
   const std::vector<std::uint8_t>& head = file_sink.buffer();
 
-  // Atomic publish: write a uniquely named temp file in the same
-  // directory, then rename over the final path. Concurrent runners
-  // (PPSSD_JOBS) either lose the exists() race above or rename identical
-  // bytes — both are fine.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      warn("cannot write checkpoint " + tmp);
-      return false;
-    }
-    out.write(reinterpret_cast<const char*>(head.data()),
-              static_cast<std::streamsize>(head.size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    if (!out.good()) {
-      out.close();
-      fs::remove(tmp, ec);
-      warn("failed writing checkpoint " + tmp);
-      return false;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    warn("failed publishing checkpoint " + path);
-    return false;
-  }
-  return true;
+  // Concurrent runners (PPSSD_JOBS) either lose the exists() race above
+  // or atomically publish identical bytes — both are fine.
+  const auto view = [](const std::vector<std::uint8_t>& v) {
+    return std::string_view(reinterpret_cast<const char*>(v.data()),
+                            v.size());
+  };
+  const std::string why = write_file_atomic(path, {view(head), view(payload)});
+  if (!why.empty()) warn("checkpoint " + why);
+  return why.empty();
 }
 
 }  // namespace ppssd::core

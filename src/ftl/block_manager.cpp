@@ -376,9 +376,7 @@ struct HeapAccess : Q {
 }  // namespace
 
 void BlockManager::save(io::StateSink& sink) const {
-  // Keep the layout in sync with the read-only checkpoint adapter
-  // (telemetry/introspect/warmstart_reader.cpp), which re-parses this
-  // section standalone; bump io::warmstart::kVersion on any change.
+  // Bump io::warmstart::kVersion on any layout change.
   sink.vec(state_);
   sink.u64(planes_.size());
   for (const PlaneState& ps : planes_) {

@@ -249,9 +249,7 @@ std::uint64_t FlashArray::total_erases(CellMode mode) const {
 }
 
 void FlashArray::save(io::StateSink& sink) const {
-  // Keep the layout in sync with the read-only checkpoint adapter
-  // (telemetry/introspect/warmstart_reader.cpp), which re-parses this
-  // section standalone; bump io::warmstart::kVersion on any change.
+  // Bump io::warmstart::kVersion on any layout change.
   //
   // Shape header: lets restore() reject a checkpoint whose geometry does
   // not match the constructed array (the container's key should already

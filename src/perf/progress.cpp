@@ -8,6 +8,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/env.h"
+
 namespace ppssd::perf {
 
 void ProgressCell::begin(std::uint64_t total_requests) {
@@ -33,12 +35,7 @@ ProgressReporter& ProgressReporter::global() {
   static ProgressReporter reporter = [] {
     Options opts;
     const bool tty = isatty(fileno(stderr)) != 0;
-    const char* env = std::getenv("PPSSD_PROGRESS");
-    if (env != nullptr && *env != '\0') {
-      opts.enabled = std::string(env) != "0";
-    } else {
-      opts.enabled = tty;
-    }
+    opts.enabled = env_flag("PPSSD_PROGRESS", tty);
     opts.live = opts.enabled && tty;
     return ProgressReporter(opts);
   }();

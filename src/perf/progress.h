@@ -10,7 +10,8 @@
 // Activation policy (the global() instance):
 //   PPSSD_PROGRESS=0  force-silent, even on a TTY
 //   PPSSD_PROGRESS=1  force-enabled, even when stderr is a pipe
-//   (unset)           enabled iff stderr is a TTY
+//   (unset or empty)  enabled iff stderr is a TTY
+// Any other value fails a PPSSD_CHECK naming the variable (env_flag).
 // The live repaint (\r redraw) additionally requires a TTY — a forced
 // non-TTY run gets plain sequential lines, never control characters.
 #pragma once

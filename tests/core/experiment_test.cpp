@@ -4,10 +4,17 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
+#include "cache/ips_scheme.h"
 #include "cache/ipu_scheme.h"
+#include "cache/registry.h"
+#include "cache/scheme.h"
 #include "common/check.h"
+#include "common/env.h"
 #include "core/runner.h"
+#include "core/warmstart.h"
 
 namespace ppssd::core {
 namespace {
@@ -45,6 +52,55 @@ TEST(ExperimentSpec, KeyEncodingMatchesLegacyIpuFormat) {
   EXPECT_EQ(spec.key(), "IPU-ts0-pe4000-b1024-s0.002-isr1-lvl1-ipp1-cmb0");
   spec.options.entries.clear();
   EXPECT_EQ(spec.key(), "IPU-ts0-pe4000-b1024-s0.002");
+}
+
+TEST(ExperimentSpec, FromKeyRoundTripsEveryRegisteredScheme) {
+  std::vector<ExperimentSpec> specs;
+  for (const std::string& name : cache::SchemeRegistry::instance().names()) {
+    ExperimentSpec spec;
+    spec.scheme = name;
+    spec.trace = "lun2";
+    spec.pe_cycles = 8000;
+    spec.total_blocks = 2048;
+    spec.trace_scale = 0.02;
+    specs.push_back(spec);
+  }
+  ExperimentSpec ipu = tiny_spec();
+  ipu.options =
+      cache::IpuScheme::Options{false, true, false, true}.to_scheme_options();
+  specs.push_back(ipu);
+  ExperimentSpec ips = tiny_spec();
+  ips.scheme = "IPS";
+  ips.options = cache::IpsScheme::Options{false}.to_scheme_options();
+  specs.push_back(ips);
+
+  for (const ExperimentSpec& spec : specs) {
+    const std::optional<ExperimentSpec> back =
+        ExperimentSpec::from_key(spec.key());
+    ASSERT_TRUE(back.has_value()) << spec.key();
+    EXPECT_EQ(back->key(), spec.key());
+    EXPECT_EQ(back->scheme, spec.scheme);
+    EXPECT_EQ(back->trace, spec.trace);
+    EXPECT_EQ(back->pe_cycles, spec.pe_cycles);
+    EXPECT_EQ(back->total_blocks, spec.total_blocks);
+    EXPECT_EQ(back->trace_scale, spec.trace_scale);
+    EXPECT_EQ(back->options.entries, spec.options.entries);
+    // The scheme's own factory accepts the decoded option bag.
+    const SsdConfig cfg = config_for(*back);
+    EXPECT_NE(cache::make_scheme(back->scheme, cfg, back->options), nullptr);
+  }
+}
+
+TEST(ExperimentSpec, FromKeyRejectsNonKeys) {
+  for (const char* text :
+       {"", "IPU", "IPU-ts0-pe4000-b1024", "IPU-ts0-pe4000-b1024-s",
+        "IPU-ts0-px4000-b1024-s0.002", "IPU-ts0-pe4000-b1024-s0.002x",
+        "IPU-ts0-pe-1-b1024-s0.002", "IPU-ts0-pe4000-b1024-s0.0020",
+        "IPU-ts0-pe4000-b1024-s0.002-isr", "IPU-ts0-pe4000-b1024-s0.002-1",
+        "IPU-ts0-pe4000-b1024-s0.002-isr1-isr1", "-ts0-pe4000-b1024-s0.002",
+        "IPU--pe4000-b1024-s0.002"}) {
+    EXPECT_FALSE(ExperimentSpec::from_key(text).has_value()) << text;
+  }
 }
 
 TEST(ExperimentResult, SerializeRoundTrip) {
@@ -215,6 +271,31 @@ TEST(ExperimentResult, DeserializeRejectsGarbage) {
       ExperimentResult::deserialize("avg_read_ms=zzz\n").has_value());
 }
 
+// A record cut anywhere — even after most of its fields — is rejected:
+// every field of the table must be present.
+TEST(ExperimentResult, TruncatedRecordIsRejected) {
+  ExperimentResult r;
+  r.spec = tiny_spec();
+  r.slc_erases = 375;
+  const std::string text = r.serialize();
+  ASSERT_TRUE(ExperimentResult::deserialize(text).has_value());
+  std::istringstream in(text);
+  std::string line;
+  std::string prefix;
+  int lines = 0;
+  while (std::getline(in, line)) {
+    prefix += line + '\n';
+    ++lines;
+    const bool whole = in.peek() == std::char_traits<char>::eof();
+    EXPECT_EQ(ExperimentResult::deserialize(prefix).has_value(), whole)
+        << "first " << lines << " lines";
+  }
+  // A value that does not parse in full is rejected too.
+  std::string bad = text;
+  bad.replace(bad.find("slc_erases=375"), 14, "slc_erases=37x");
+  EXPECT_FALSE(ExperimentResult::deserialize(bad).has_value());
+}
+
 TEST(ConfigFor, AppliesScaleAndWear) {
   ExperimentSpec spec = tiny_spec();
   spec.pe_cycles = 2000;
@@ -280,6 +361,42 @@ TEST(Runner, CachesResultsOnDisk) {
   const ExperimentResult second = runner.run(tiny_spec());
   EXPECT_DOUBLE_EQ(second.avg_overall_ms, first.avg_overall_ms);
   EXPECT_EQ(second.slc_erases, first.slc_erases);
+  std::filesystem::remove_all(dir);
+}
+
+// A cache file cut short (a full disk, a writer killed mid-file) must be
+// re-simulated, never read back with its missing fields as zeros.
+TEST(Runner, TruncatedCacheFileIsAMiss) {
+  const std::string dir = ::testing::TempDir() + "ppssd_runner_truncated";
+  std::filesystem::remove_all(dir);
+  Runner runner(dir);
+  const ExperimentResult first = runner.run(tiny_spec());
+  ASSERT_GT(first.slc_erases, 0u);
+  const std::string path =
+      dir + "/v" + std::to_string(kResultSchemaVersion) + "-" +
+      tiny_spec().key() + ".result";
+  std::string head;
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open());
+    std::string line;
+    for (int i = 0; i < 16 && std::getline(in, line); ++i) head += line + '\n';
+  }
+  std::ofstream(path, std::ios::trunc) << head;
+
+  const ExperimentResult second = runner.run(tiny_spec());
+  EXPECT_EQ(second.slc_erases, first.slc_erases);
+  EXPECT_EQ(second.mlc_erases, first.mlc_erases);
+  EXPECT_EQ(second.ctrl_events, first.ctrl_events);
+  // The re-simulated cell republished a whole record, and no temp file
+  // is left behind.
+  std::ifstream in(path);
+  std::ostringstream whole;
+  whole << in.rdbuf();
+  EXPECT_TRUE(ExperimentResult::deserialize(whole.str()).has_value());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().extension(), ".result") << entry.path();
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -351,6 +468,46 @@ TEST(RunnerEnv, NumbersMustParseWhole) {
     (void)env_number<std::uint64_t>("PPSSD_JOBS", 1);
   });
   EXPECT_NE(err.find("PPSSD_JOBS"), std::string::npos) << err;
+}
+
+TEST(RunnerEnv, SwitchesMustBeZeroOrOne) {
+  std::string err = env_failure("PPSSD_NO_CACHE", "yes", [] { Runner r; });
+  EXPECT_NE(err.find("PPSSD_NO_CACHE='yes'"), std::string::npos) << err;
+  err = env_failure("PPSSD_WARMSTART", "yes",
+                    [] { (void)WarmStartCache::from_env(); });
+  EXPECT_NE(err.find("PPSSD_WARMSTART='yes'"), std::string::npos) << err;
+  err = env_failure("PPSSD_WARMSTART", "10",
+                    [] { (void)WarmStartCache::from_env(); });
+  EXPECT_NE(err.find("PPSSD_WARMSTART='10'"), std::string::npos) << err;
+  err = env_failure("REPRO_FULL", "true",
+                    [] { (void)Runner::default_spec(); });
+  EXPECT_NE(err.find("REPRO_FULL='true'"), std::string::npos) << err;
+  // PPSSD_PROGRESS is read once per process by the global reporter,
+  // through the same helper.
+  err = env_failure("PPSSD_PROGRESS", "2",
+                    [] { (void)env_flag("PPSSD_PROGRESS", false); });
+  EXPECT_NE(err.find("PPSSD_PROGRESS='2'"), std::string::npos) << err;
+}
+
+TEST(RunnerEnv, SwitchesParse) {
+  setenv("PPSSD_NO_CACHE", "0", 1);
+  EXPECT_FALSE(Runner().cache_dir().empty());
+  setenv("PPSSD_NO_CACHE", "1", 1);
+  EXPECT_TRUE(Runner().cache_dir().empty());
+  setenv("PPSSD_NO_CACHE", "", 1);
+  EXPECT_FALSE(Runner().cache_dir().empty());
+  unsetenv("PPSSD_NO_CACHE");
+
+  setenv("PPSSD_WARMSTART", "1", 1);
+  EXPECT_TRUE(WarmStartCache::from_env().enabled());
+  setenv("PPSSD_WARMSTART", "0", 1);
+  EXPECT_FALSE(WarmStartCache::from_env().enabled());
+  unsetenv("PPSSD_WARMSTART");
+
+  EXPECT_TRUE(env_flag("PPSSD_PROGRESS", true));  // unset: fallback
+  setenv("PPSSD_PROGRESS", "0", 1);
+  EXPECT_FALSE(env_flag("PPSSD_PROGRESS", true));
+  unsetenv("PPSSD_PROGRESS");
 }
 
 TEST(RunnerEnv, WholeNumbersParse) {

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/runner.h"
-#include "perf/profiler.h"
+#include "perf/progress.h"
 
 namespace ppssd::core {
 namespace {
@@ -53,25 +54,30 @@ TEST(RunnerParallel, JobsProduceBitIdenticalResults) {
   }
 }
 
-// The profiler must be an observer: with an instance installed, parallel
-// replays still produce bit-identical simulation results.
-TEST(RunnerParallel, ProfilingOnKeepsResultsBitIdentical) {
-  perf::Profiler prof(perf::Profiler::Options{
-      .json_path = "", .report_to_stderr = false});
-  perf::Profiler* prev = perf::Profiler::exchange_instance(&prof);
-
+// The progress reporter is the one observer every runner cell talks
+// to: with it forced on, parallel cells still produce bit-identical
+// results, and its status lines name every simulated cell. (The global
+// reporter reads PPSSD_PROGRESS once per process; ctest runs this test
+// in a process of its own.)
+TEST(RunnerParallel, ProgressOnKeepsResultsBitIdentical) {
+  setenv("PPSSD_PROGRESS", "1", 1);
+  ::testing::internal::CaptureStderr();
   Runner runner("");
   const auto specs = tiny_matrix();
   const auto seq = runner.run_all(specs, 1);
   const auto par = runner.run_all(specs, 4);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  unsetenv("PPSSD_PROGRESS");
 
-  perf::Profiler::exchange_instance(prev);
   ASSERT_EQ(par.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(stable_serialization(seq[i]), stable_serialization(par[i]))
         << specs[i].key();
+    if (perf::ProgressReporter::global().enabled()) {
+      EXPECT_NE(err.find("simulating " + specs[i].key()), std::string::npos)
+          << err;
+    }
   }
-  EXPECT_GT(prof.span_count(), 0u);
 }
 
 TEST(RunnerParallel, ResultsComeBackInSpecOrder) {

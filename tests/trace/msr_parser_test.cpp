@@ -47,7 +47,11 @@ TEST(MsrParser, RejectsMalformedLines) {
 class MsrParserFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "ppssd_msr_test.csv";
+    // One file per test: ctest runs the fixture's tests concurrently, and
+    // a shared path lets one test's TearDown delete the other's input.
+    path_ = ::testing::TempDir() + "ppssd_msr_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
     std::ofstream out(path_);
     out << "128166372003000000,srv,0,Write,0,4096,100\n"
         << "# a comment line\n"

@@ -4,9 +4,11 @@
 //   device_inspect <snapshots.bin> [options]
 //
 // The input (and the --diff operand) may also be a warm-start checkpoint
-// written by PPSSD_WARMSTART (PPSSDWRM magic): it is presented as a
-// one-frame stream at t=0, so heatmaps, diffs, timelines, and --verify
-// apply unchanged — e.g. diff a checkpoint against a post-run snapshot,
+// written by PPSSD_WARMSTART (PPSSDWRM magic). Its cell's device is
+// rebuilt from the header key, restored through the warm-start cache's
+// own gate and walked once like a live device
+// (core::load_checkpoint_as_snapshot): a one-frame stream at t=0, so
+// heatmaps, diffs, timelines, and --verify apply unchanged — e.g. diff a checkpoint against a post-run snapshot,
 // or two checkpoints against each other.
 //
 // Modes (combinable; default with no mode flag is the stream summary):
@@ -37,11 +39,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
+#include "core/warmstart.h"
 #include "telemetry/introspect/format.h"
-#include "telemetry/introspect/warmstart_reader.h"
 
 namespace {
 
@@ -67,13 +71,12 @@ void print_usage(std::FILE* out, const char* argv0) {
                argv0);
 }
 
-/// Dispatch on magic: PPSSDWRM checkpoints load through the warm-start
-/// adapter (one synthetic frame), anything else through the stream
-/// loader.
+/// Dispatch on magic: a PPSSDWRM checkpoint loads as its restored
+/// device's one frame, anything else through the stream loader.
 bool load_any(const std::string& path, SnapshotFile* out,
               std::string* error) {
-  if (is_warmstart_file(path)) {
-    return load_warmstart_as_snapshot(path, out, error);
+  if (ppssd::core::is_checkpoint_file(path)) {
+    return ppssd::core::load_checkpoint_as_snapshot(path, out, error);
   }
   return load_snapshots(path, out, error);
 }
@@ -432,7 +435,15 @@ int main(int argc, char** argv) {
         print_usage(stderr, argv[0]);
         return kExitUsage;
       }
-      stream_filter = std::strtol(argv[++i], nullptr, 10);
+      const std::optional<long> n = ppssd::parse_number<long>(argv[++i]);
+      if (!n || *n < 0) {
+        std::fprintf(stderr,
+                     "device_inspect: --stream takes a stream index, got "
+                     "'%s'\n",
+                     argv[i]);
+        return kExitUsage;
+      }
+      stream_filter = *n;
     } else if (argv[i][0] == '-') {
       print_usage(stderr, argv[0]);
       return kExitUsage;

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "telemetry/attribution/attribution.h"
 #include "telemetry/json.h"
 
@@ -121,7 +122,13 @@ int main(int argc, char** argv) {
       return 0;
     } else if (std::strcmp(argv[i], "--top") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
-      top_k = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto k = ppssd::parse_number<std::size_t>(argv[++i]);
+      if (!k) {
+        std::fprintf(stderr, "latency_explain: --top takes a count, got '%s'\n",
+                     argv[i]);
+        return usage(argv[0]);
+      }
+      top_k = *k;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
       trace_path = argv[++i];

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "perf/bench_report.h"
 
 namespace {
@@ -62,7 +63,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tolerance") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
-      tolerance = std::strtod(argv[++i], nullptr);
+      const auto t = ppssd::parse_number<double>(argv[++i]);
+      if (!t) {
+        std::fprintf(stderr, "perf_compare: --tolerance takes a number, got "
+                             "'%s'\n", argv[i]);
+        return usage(argv[0]);
+      }
+      tolerance = *t;
       if (tolerance < 0.0 || tolerance >= 1.0) {
         std::fprintf(stderr, "perf_compare: tolerance must be in [0, 1)\n");
         return 2;
