@@ -75,7 +75,7 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
     if (!alloc) break;
     now += ms_to_ns(1.0);
     for (std::uint32_t s = 0; s < head; ++s) {
-      writes[s] = {static_cast<SubpageId>(s), lsn + s, 1};
+      writes[s] = {static_cast<SubpageId>(s), lsn + s};
     }
     const std::span<const nand::SlotWrite> first(writes.data(), head);
     if constexpr (kFused) {
@@ -86,7 +86,7 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
     ++program.calls;
     if (spp > 1 && alloc->page % 2 == 0) {
       const nand::SlotWrite upd[] = {
-          {static_cast<SubpageId>(spp - 1), lsn + spp - 1, 1}};
+          {static_cast<SubpageId>(spp - 1), lsn + spp - 1}};
       if constexpr (kFused) {
         arr.program(alloc->block, alloc->page, upd, now);
       } else {

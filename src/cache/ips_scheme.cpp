@@ -83,13 +83,11 @@ void IpsScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
   std::size_t n = 0;
   double max_ber = 0.0;
   for (std::uint32_t s = 0; s < subpages_per_page(); ++s) {
-    const nand::Subpage sp =
-        array_.subpage(victim, page, static_cast<SubpageId>(s));
+    const auto slot = static_cast<SubpageId>(s);
+    const nand::Subpage sp = array_.subpage(victim, page, slot);
     if (sp.state != nand::SubpageState::kValid) continue;
-    writes[n++] = {static_cast<SubpageId>(s), sp.owner_lsn, sp.version};
-    max_ber = std::max(
-        max_ber,
-        ber_of(PhysicalAddress{victim, page, static_cast<SubpageId>(s)}));
+    writes[n++] = {slot, sp.owner_lsn, array_.source_slot(victim, page, slot)};
+    max_ber = std::max(max_ber, ber_of(PhysicalAddress{victim, page, slot}));
   }
   if (n == 0) return;
 

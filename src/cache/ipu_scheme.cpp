@@ -130,7 +130,7 @@ std::uint32_t IpuScheme::append_cold(Lsn lsn, std::uint32_t count,
   for (std::uint32_t k = 0; k < n; ++k) {
     const Lsn cur = lsn + k;
     invalidate_previous(cur);
-    writes[k] = {static_cast<SubpageId>(first + k), cur, bump_version(cur)};
+    writes[k] = {static_cast<SubpageId>(first + k), cur, nand::kHostData};
   }
   array_.program(open.block, open.page,
                  std::span<const nand::SlotWrite>(writes.data(), n), now);
@@ -179,7 +179,7 @@ std::uint32_t IpuScheme::update_cached_run(Lsn lsn, std::uint32_t count,
     std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
     SubpageId slot = array_.page_first_free(first.block, first.page);
     for (std::uint32_t k = 0; k < n; ++k) {
-      writes[k] = {slot, lsn + k, bump_version(lsn + k)};
+      writes[k] = {slot, lsn + k, nand::kHostData};
       slot = static_cast<SubpageId>(slot + 1);
     }
     // Retire the old versions first (they live in this same page), then
@@ -315,14 +315,14 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
   const nand::Page& pg = blk.page(page);
 
   std::array<Lsn, nand::kMaxSubpagesPerPage> live;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> sources;
   std::size_t n = 0;
   for (std::uint32_t s = 0; s < subpages_per_page(); ++s) {
-    const nand::Subpage sp =
-        array_.subpage(victim, page, static_cast<SubpageId>(s));
+    const auto slot = static_cast<SubpageId>(s);
+    const nand::Subpage sp = array_.subpage(victim, page, slot);
     if (sp.state == nand::SubpageState::kValid) {
       live[n] = sp.owner_lsn;
-      vers[n] = sp.version;
+      sources[n] = array_.source_slot(victim, page, slot);
       ++n;
     }
   }
@@ -347,7 +347,7 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
   const auto alloc = program_new_slc_page(
       array_.block_static(victim).plane, dest,
       std::span<const Lsn>(live.data(), n),
-      std::span<const std::uint32_t>(vers.data(), n), now, /*host=*/false,
+      std::span<const std::uint32_t>(sources.data(), n), now, /*host=*/false,
       ops);
   if (!alloc) {
     // No SLC destination: fall back to ejecting the page's data.

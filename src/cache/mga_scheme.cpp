@@ -78,7 +78,7 @@ std::uint32_t MgaScheme::append_to_plane(std::uint32_t plane, Lsn lsn,
   for (std::uint32_t k = 0; k < n; ++k) {
     const Lsn cur = lsn + k;
     invalidate_previous(cur);
-    writes[k] = {static_cast<SubpageId>(first + k), cur, bump_version(cur)};
+    writes[k] = {static_cast<SubpageId>(first + k), cur, nand::kHostData};
   }
   array_.program(open.block, open.page,
                  std::span<const nand::SlotWrite>(writes.data(), n), now);

@@ -24,7 +24,6 @@ Scheme::Scheme(const SsdConfig& cfg)
       map_(array_.geometry().logical_subpages()),
       ber_model_(cfg.ber),
       ecc_model_(cfg.ecc),
-      versions_(array_.geometry().logical_subpages(), 0),
       spp_(cfg.geometry.subpages_per_page()) {}
 
 void Scheme::attach_telemetry(telemetry::Telemetry* telemetry) {
@@ -79,11 +78,6 @@ std::uint32_t Scheme::next_plane() {
   const std::uint32_t p = rr_plane_;
   rr_plane_ = (rr_plane_ + 1) % array_.geometry().planes();
   return p;
-}
-
-std::uint32_t Scheme::bump_version(Lsn lsn) {
-  PPSSD_CHECK(lsn < versions_.size());
-  return ++versions_[lsn];
 }
 
 double Scheme::ber_of(const PhysicalAddress& addr) const {
@@ -165,10 +159,10 @@ void Scheme::invalidate_previous(Lsn lsn) {
 
 std::optional<ftl::PageAlloc> Scheme::program_new_slc_page(
     std::uint32_t plane, BlockLevel level, std::span<const Lsn> lsns,
-    std::span<const std::uint32_t> versions, SimTime now, bool host,
+    std::span<const std::uint32_t> sources, SimTime now, bool host,
     std::vector<PhysOp>& ops) {
   PPSSD_CHECK(!lsns.empty() && lsns.size() <= spp_);
-  PPSSD_CHECK(lsns.size() == versions.size());
+  PPSSD_CHECK(host || lsns.size() == sources.size());
   const auto alloc = bm_.allocate_page(plane, level);
   if (!alloc) return std::nullopt;
 
@@ -177,7 +171,8 @@ std::optional<ftl::PageAlloc> Scheme::program_new_slc_page(
     // Whether this is a host supersede or a GC move, the previous copy
     // retires first; the map transition is then a clean clear+set.
     invalidate_previous(lsns[i]);
-    writes[i] = {static_cast<SubpageId>(i), lsns[i], versions[i]};
+    writes[i] = {static_cast<SubpageId>(i), lsns[i],
+                 host ? nand::kHostData : sources[i]};
   }
   array_.program(alloc->block, alloc->page,
                  std::span<const nand::SlotWrite>(writes.data(), lsns.size()),
@@ -203,11 +198,12 @@ std::optional<ftl::PageAlloc> Scheme::program_new_slc_page(
 }
 
 void Scheme::program_mlc_page(std::span<const Lsn> lsns,
-                              std::span<const std::uint32_t> versions,
+                              std::span<const std::uint32_t> sources,
                               SimTime now, bool host, bool background,
                               std::vector<PhysOp>& ops,
                               std::uint32_t plane_hint) {
   PPSSD_CHECK(!lsns.empty() && lsns.size() <= spp_);
+  PPSSD_CHECK(host || lsns.size() == sources.size());
   // GC evictions stay plane-local (SSDsim-style copy out of the victim's
   // plane); host-path MLC writes stripe round-robin.
   std::uint32_t plane = plane_hint != UINT32_MAX ? plane_hint : next_plane();
@@ -224,7 +220,8 @@ void Scheme::program_mlc_page(std::span<const Lsn> lsns,
   std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
   for (std::size_t i = 0; i < lsns.size(); ++i) {
     invalidate_previous(lsns[i]);
-    writes[i] = {static_cast<SubpageId>(i), lsns[i], versions[i]};
+    writes[i] = {static_cast<SubpageId>(i), lsns[i],
+                 host ? nand::kHostData : sources[i]};
   }
   array_.program(alloc->block, alloc->page,
                  std::span<const nand::SlotWrite>(writes.data(), lsns.size()),
@@ -244,12 +241,12 @@ void Scheme::evict_page_to_mlc(BlockId victim, PageId page, SimTime now,
   // Stage and retire the page's valid data; the staged buffer flushes
   // into packed MLC pages at the end of the GC pass.
   for (std::uint32_t s = 0; s < spp_; ++s) {
-    const nand::Subpage sp =
-        array_.subpage(victim, page, static_cast<SubpageId>(s));
+    const auto slot = static_cast<SubpageId>(s);
+    const nand::Subpage sp = array_.subpage(victim, page, slot);
     if (sp.state != nand::SubpageState::kValid) continue;
-    staged_evictions_.push_back({sp.owner_lsn, sp.version});
-    retire_slot(sp.owner_lsn,
-                PhysicalAddress{victim, page, static_cast<SubpageId>(s)});
+    staged_evictions_.push_back(
+        {sp.owner_lsn, array_.source_slot(victim, page, slot)});
+    retire_slot(sp.owner_lsn, PhysicalAddress{victim, page, slot});
   }
   if (staged_evictions_.size() >= 4 * spp_) {
     flush_evictions(array_.block_static(victim).plane, now, ops);
@@ -260,17 +257,17 @@ void Scheme::flush_evictions(std::uint32_t plane, SimTime now,
                              std::vector<PhysOp>& ops) {
   std::size_t i = 0;
   std::array<Lsn, nand::kMaxSubpagesPerPage> lsns;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> versions;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> sources;
   while (i < staged_evictions_.size()) {
     std::size_t n = 0;
     while (n < spp_ && i < staged_evictions_.size()) {
       lsns[n] = staged_evictions_[i].lsn;
-      versions[n] = staged_evictions_[i].version;
+      sources[n] = staged_evictions_[i].source;
       ++n;
       ++i;
     }
     program_mlc_page(std::span<const Lsn>(lsns.data(), n),
-                     std::span<const std::uint32_t>(versions.data(), n), now,
+                     std::span<const std::uint32_t>(sources.data(), n), now,
                      /*host=*/false, /*background=*/true, ops, plane);
     count_evicted(static_cast<std::uint32_t>(n));
   }
@@ -287,35 +284,23 @@ void Scheme::write_fresh_slc_page(Lsn lsn, std::uint32_t n, BlockLevel level,
                                   SimTime now, std::vector<PhysOp>& ops) {
   PPSSD_CHECK(n > 0 && n <= spp_);
   std::array<Lsn, nand::kMaxSubpagesPerPage> lsns;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    lsns[k] = lsn + k;
-    vers[k] = bump_version(lsn + k);
-  }
-  const auto alloc = program_new_slc_page(
-      next_plane(), level, std::span<const Lsn>(lsns.data(), n),
-      std::span<const std::uint32_t>(vers.data(), n), now, /*host=*/true,
-      ops);
-  if (!alloc) {
-    for (std::uint32_t k = 0; k < n; ++k) versions_[lsn + k] -= 1;
-    direct_mlc_write(lsn, n, now, ops);
-  }
+  for (std::uint32_t k = 0; k < n; ++k) lsns[k] = lsn + k;
+  const auto alloc =
+      program_new_slc_page(next_plane(), level,
+                           std::span<const Lsn>(lsns.data(), n), {}, now,
+                           /*host=*/true, ops);
+  if (!alloc) direct_mlc_write(lsn, n, now, ops);
 }
 
 void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
                               std::vector<PhysOp>& ops) {
   if (tl_direct_mlc_) tl_direct_mlc_->inc(count);
   std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   std::uint32_t i = 0;
   while (i < count) {
     const std::uint32_t n = std::min(count - i, spp_);
-    for (std::uint32_t k = 0; k < n; ++k) {
-      chunk[k] = lsn + i + k;
-      vers[k] = bump_version(lsn + i + k);
-    }
-    program_mlc_page(std::span<const Lsn>(chunk.data(), n),
-                     std::span<const std::uint32_t>(vers.data(), n), now,
+    for (std::uint32_t k = 0; k < n; ++k) chunk[k] = lsn + i + k;
+    program_mlc_page(std::span<const Lsn>(chunk.data(), n), {}, now,
                      /*host=*/true, /*background=*/false, ops);
     i += n;
   }
@@ -345,7 +330,7 @@ std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
     std::size_t n = 0;
     while (n < spp_ && filled < max_subpages) {
       const Lsn lsn = filled++;
-      writes[n] = {static_cast<SubpageId>(n), lsn, bump_version(lsn)};
+      writes[n] = {static_cast<SubpageId>(n), lsn, nand::kHostData};
       ++n;
     }
     // Bulk setup entry point: frontier fill at sim time 0, skipping the
@@ -564,10 +549,11 @@ bool Scheme::mlc_gc_once(std::uint32_t plane, SimTime now,
     emit_page_read(victim, page_id, valid, max_ber, /*background=*/true, ops);
     gc_read_dep_ = static_cast<std::uint32_t>(ops.size() - 1);
     for (std::uint32_t s = 0; s < spp_; ++s) {
-      const nand::Subpage sp =
-          array_.subpage(victim, page_id, static_cast<SubpageId>(s));
+      const auto slot = static_cast<SubpageId>(s);
+      const nand::Subpage sp = array_.subpage(victim, page_id, slot);
       if (sp.state != nand::SubpageState::kValid) continue;
-      pack[packed++] = {0, sp.owner_lsn, sp.version};
+      pack[packed++] = {0, sp.owner_lsn,
+                        array_.source_slot(victim, page_id, slot)};
       if (packed == spp_) flush_pack();
     }
   }
@@ -742,7 +728,6 @@ void Scheme::save(io::StateSink& sink) const {
   array_.save(sink);
   bm_.save(sink);
   map_.save(sink);
-  sink.vec(versions_);
   sink.u32(rr_plane_);
   save_scheme_state(sink);
 }
@@ -753,10 +738,8 @@ void Scheme::restore(io::StateSource& src) {
   array_.restore(src);
   bm_.restore(src);
   map_.restore(src);
-  (void)src.vec_into(versions_);
   const std::uint32_t rr = src.u32();
-  PPSSD_CHECK_MSG(src.ok(),
-                  "warm-start checkpoint does not match version-table shape");
+  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   rr_plane_ = rr;
   restore_scheme_state(src);
 }
@@ -772,7 +755,9 @@ void Scheme::check_consistency() const {
   const auto& geom = array_.geometry();
 
   // Physical walk: every valid subpage is the current mapping of its
-  // owner, counters match, and versions agree.
+  // owner and counters match. That the data is the owner's *latest* write
+  // is a provenance question the library keeps no state for; the
+  // test-side IntegrityShadow (tests/support) answers it (DESIGN.md §7).
   std::uint64_t valid_total = 0;
   for (BlockId b = 0; b < geom.total_blocks(); ++b) {
     const auto& blk = array_.block(b);
@@ -807,13 +792,13 @@ void Scheme::check_consistency() const {
                             mapped.page == static_cast<PageId>(p) &&
                             mapped.subpage == static_cast<SubpageId>(s),
                         "valid subpage is not its owner's current mapping");
-        PPSSD_CHECK_MSG(sp.version == versions_[lsn],
-                        "stored version is stale");
       }
     }
     PPSSD_CHECK(recount_valid == blk.valid_subpages());
     PPSSD_CHECK(recount_invalid == blk.invalid_subpages());
-    // The GC-score aggregates must agree with a from-scratch rebuild.
+    // The GC-score aggregates must agree with a from-scratch rebuild. Only
+    // SLC-mode blocks keep write times (§16): a dense block's sum and
+    // recount both read 0.
     PPSSD_CHECK_MSG(recount_wt_sum == blk.sum_write_time_ms(),
                     "running write-time sum is stale");
     PPSSD_CHECK_MSG(hist == nullptr || recount_hist == *hist,

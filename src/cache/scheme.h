@@ -37,7 +37,6 @@
 
 #include "cache/registry.h"
 #include "common/config.h"
-#include "common/huge_page_allocator.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "ecc/ber_model.h"
@@ -144,11 +143,6 @@ class Scheme : public telemetry::introspect::FrameSource {
   /// Mapping-table memory model for this scheme (Figure 11).
   [[nodiscard]] ftl::FootprintReport footprint() const;
 
-  /// Current stored version of an LSN (0 = never written).
-  [[nodiscard]] std::uint32_t version_of(Lsn lsn) const {
-    return versions_[lsn];
-  }
-
   /// True if the LSN's current copy lives in the SLC-mode cache.
   [[nodiscard]] bool cached_in_slc(Lsn lsn) const {
     const PhysicalAddress addr = map_.lookup(lsn);
@@ -210,7 +204,7 @@ class Scheme : public telemetry::introspect::FrameSource {
 
   /// Warm-start checkpointing (DESIGN.md §14): serialize the device's
   /// complete mutable state — flash array, block manager, mapping table,
-  /// version table, round-robin cursor — then scheme-specific side state
+  /// round-robin cursor — then scheme-specific side state
   /// via save_scheme_state(). Must be called at a quiescent point (no
   /// staged evictions, no GC victim mid-flight); metrics are NOT
   /// serialized — callers checkpoint right after reset_metrics() so both
@@ -284,9 +278,6 @@ class Scheme : public telemetry::introspect::FrameSource {
   /// Next plane in round-robin order for new-page placement.
   std::uint32_t next_plane();
 
-  /// Bump and return the LSN's version (host writes only).
-  std::uint32_t bump_version(Lsn lsn);
-
   /// Drop the previous version of `lsn` wherever it lives. Safe to call
   /// for never-written LSNs.
   void invalidate_previous(Lsn lsn);
@@ -314,19 +305,21 @@ class Scheme : public telemetry::introspect::FrameSource {
   /// Program freshly-allocated SLC page slots [0, n) with the given LSNs
   /// (used by every scheme for new-page placement and GC moves). Updates
   /// the map, emits the program op, and tallies level metrics when `host`
-  /// is true (host semantics also supersede prior copies). Returns the
+  /// is true (host semantics also supersede prior copies). A GC move
+  /// passes the flat slot each LSN's data is copied from in `sources`
+  /// (SlotWrite::source); a host write passes none. Returns the
   /// allocation actually used (after level fallback) or nullopt when the
   /// SLC region is exhausted.
   std::optional<ftl::PageAlloc> program_new_slc_page(
       std::uint32_t plane, BlockLevel level, std::span<const Lsn> lsns,
-      std::span<const std::uint32_t> versions, SimTime now, bool host,
+      std::span<const std::uint32_t> sources, SimTime now, bool host,
       std::vector<PhysOp>& ops);
 
   /// Write the given LSNs into a fresh MLC page (packed slots). Same
-  /// host/GC semantics as program_new_slc_page. Runs MLC GC first when the
-  /// destination plane is below threshold.
+  /// host/GC and `sources` semantics as program_new_slc_page. Runs MLC GC
+  /// first when the destination plane is below threshold.
   void program_mlc_page(std::span<const Lsn> lsns,
-                        std::span<const std::uint32_t> versions, SimTime now,
+                        std::span<const std::uint32_t> sources, SimTime now,
                         bool host, bool background, std::vector<PhysOp>& ops,
                         std::uint32_t plane_hint = UINT32_MAX);
 
@@ -340,9 +333,8 @@ class Scheme : public telemetry::introspect::FrameSource {
                        std::vector<PhysOp>& ops);
 
   /// Host write of `n` (at most a page's worth of) contiguous LSNs into a
-  /// fresh SLC page at `level` on the next round-robin plane. Bumps their
-  /// versions; when the SLC region has no page to give, rolls the bump
-  /// back and writes them directly to MLC instead.
+  /// fresh SLC page at `level` on the next round-robin plane; when the SLC
+  /// region has no page to give, writes them directly to MLC instead.
   void write_fresh_slc_page(Lsn lsn, std::uint32_t n, BlockLevel level,
                             SimTime now, std::vector<PhysOp>& ops);
 
@@ -390,7 +382,6 @@ class Scheme : public telemetry::introspect::FrameSource {
   ecc::EccLatencyModel ecc_model_;
   ftl::GreedyPolicy greedy_;
   SchemeMetrics metrics_;
-  HugeVector<std::uint32_t> versions_;
   /// Trace log adopted from the attached bundle (null when disabled);
   /// subclasses may emit their own category-filtered events through it.
   telemetry::TraceLog* tlog_ = nullptr;
@@ -405,7 +396,7 @@ class Scheme : public telemetry::introspect::FrameSource {
 
   struct StagedEviction {
     Lsn lsn;
-    std::uint32_t version;
+    std::uint32_t source;  // flat slot the data is copied from
   };
   std::vector<StagedEviction> staged_evictions_;
 

@@ -61,6 +61,14 @@ std::string SsdConfig::validate() const {
   if (g.pages_per_slc_block == 0 || g.pages_per_mlc_block == 0) {
     err << "pages per block must be nonzero; ";
   }
+  // SlotWrite::source names a flat slot in 32 bits, kHostData reserved
+  // (the owner rows hold 32-bit LSNs for the same reason).
+  if (static_cast<std::uint64_t>(g.total_blocks) *
+          std::max(g.pages_per_slc_block, g.pages_per_mlc_block) *
+          g.subpages_per_page() >=
+      nand::kHostData) {
+    err << "device holds 2^32 - 1 or more subpage slots; ";
+  }
   if (cache.slc_ratio <= 0.0 || cache.slc_ratio >= 1.0) {
     err << "slc_ratio must be in (0,1); ";
   }

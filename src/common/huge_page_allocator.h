@@ -1,7 +1,7 @@
 // Allocator for the simulator's large device-state tables.
 //
 // The per-slot, per-page, per-block and per-LSN tables (FlashArray's SoA
-// rows, the device map, the version table, the schemes' side tables) are
+// rows, the device map, the schemes' side tables) are
 // hundreds of MiB at paper scale and are walked in random order, so on
 // 4 KiB pages nearly every access is also a TLB miss. HugePageAllocator
 // serves every allocation of kHugePageBytes or more from its own

@@ -1,5 +1,6 @@
 #include "core/runner.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -65,10 +66,17 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) {
 
   if (!cache_dir_.empty()) {
     // Published atomically: a reader, or a run cut short mid-write,
-    // never sees a half-written record.
+    // never sees a half-written record. A cache that cannot be written
+    // (a failed create_directories fails the write too) leaves this run
+    // right but makes every later one re-simulate: say so, once.
     std::error_code ec;
     std::filesystem::create_directories(cache_dir_, ec);
-    (void)write_file_atomic(cache_path(spec), {result.serialize()});
+    const std::string path = cache_path(spec);
+    if (!write_file_atomic(path, {result.serialize()}).empty() &&
+        !cache_write_warned_.exchange(true)) {
+      std::fprintf(stderr, "ppssd: cannot write result cache %s\n",
+                   path.c_str());
+    }
   }
   return result;
 }

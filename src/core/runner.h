@@ -12,7 +12,9 @@
 //   PPSSD_NO_CACHE=1   disable the disk cache
 //
 // Each cell's result is written atomically (temp file + rename), and a
-// cache file that does not carry every field of the record is a miss.
+// cache file that does not carry every field of the record is a miss. A
+// runner whose cache cannot be written keeps running and prints one
+// "ppssd: cannot write result cache <path>" line to stderr.
 //
 // Matrix-level knobs (run_all / run_matrix / paper_schemes):
 //   PPSSD_JOBS=n       simulate up to n cells concurrently (default 1).
@@ -31,6 +33,7 @@
 // sequentially.
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -78,6 +81,8 @@ class Runner {
   [[nodiscard]] std::string cache_path(const ExperimentSpec& spec) const;
 
   std::string cache_dir_;
+  /// Set by the first cell whose result could not be cached.
+  std::atomic<bool> cache_write_warned_{false};
 };
 
 }  // namespace ppssd::core

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -34,10 +35,6 @@ namespace ppssd::core {
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr const char* kNotACheckpoint =
-    "not a warm-start checkpoint (bad magic, container version, or "
-    "truncated header)";
 
 void warn(const std::string& message) {
   perf::ProgressReporter::global().note("[ppssd] warm-start: " + message);
@@ -124,27 +121,22 @@ class MappedCheckpoint {
   bool opened_ = false;
 };
 
-}  // namespace
-
-WarmStartCache WarmStartCache::from_env() {
-  const char* dir = std::getenv("PPSSD_WARMSTART_DIR");
-  return WarmStartCache(env_flag("PPSSD_WARMSTART", false),
-                        dir != nullptr ? dir : ".ppssd_warmstart");
-}
-
-std::string WarmStartCache::path_for(const std::string& key) const {
-  return dir_ + "/wrm-v" + std::to_string(io::warmstart::kVersion) + "-" +
-         key + ".ckpt";
-}
-
-std::string restore_checkpoint(const std::string& path,
-                               const std::string& key, sim::Ssd& ssd) {
-  const MappedCheckpoint bytes(path);
+/// Validate the mapped container (read_container: magic, version,
+/// checksum over header and payload, payload size).
+std::string open_container(const MappedCheckpoint& bytes,
+                           io::warmstart::Header* h, std::size_t* payload_at) {
   if (!bytes.opened()) return "cannot read file";
+  return io::warmstart::read_container(
+      std::span<const std::uint8_t>(bytes.data(), bytes.size()), h,
+      payload_at);
+}
 
-  io::StateSource src(bytes.data(), bytes.size());
-  io::warmstart::Header h;
-  if (!io::warmstart::read_header(src, &h)) return kNotACheckpoint;
+/// Restore `ssd` from an already validated container whose payload
+/// starts at `payload_at`, after checking its key and geometry.
+std::string restore_validated(const MappedCheckpoint& bytes,
+                              const io::warmstart::Header& h,
+                              std::size_t payload_at, const std::string& key,
+                              sim::Ssd& ssd) {
   if (h.key != key) return "checkpoint holds foreign key '" + h.key + "'";
   // Cross-check the device shape before the payload touches it; a
   // mismatch here (key collision, edited config) must stay a soft miss,
@@ -161,26 +153,35 @@ std::string restore_checkpoint(const std::string& path,
       h.mlc_gc_threshold != want.mlc_gc_threshold) {
     return "checkpoint geometry does not match the device";
   }
-
-  // Validate the payload in full before any layer restore runs: the
-  // bytes after the header must be exactly payload_size and hash to the
-  // stored checksum. After this gate, Ssd::restore may assume integrity.
-  const std::size_t header_end = src.pos();
-  if (bytes.size() - header_end != h.payload_size) {
-    return "payload size disagrees with the container header (truncated "
-           "or padded file)";
-  }
-  const std::uint8_t* payload = bytes.data() + header_end;
-  const std::size_t payload_size = static_cast<std::size_t>(h.payload_size);
-  if (io::warmstart::fnv1a(payload, payload_size) != h.payload_checksum) {
-    return "payload checksum mismatch";
-  }
-
-  io::StateSource payload_src(payload, payload_size);
+  io::StateSource payload_src(bytes.data() + payload_at,
+                              static_cast<std::size_t>(h.payload_size));
   ssd.restore(payload_src);
   PPSSD_CHECK_MSG(payload_src.exhausted(),
                   "warm-start payload has trailing bytes after restore");
   return "";
+}
+
+}  // namespace
+
+WarmStartCache WarmStartCache::from_env() {
+  const char* dir = std::getenv("PPSSD_WARMSTART_DIR");
+  return WarmStartCache(env_flag("PPSSD_WARMSTART", false),
+                        dir != nullptr ? dir : ".ppssd_warmstart");
+}
+
+std::string WarmStartCache::path_for(const std::string& key) const {
+  return dir_ + "/wrm-v" + std::to_string(io::warmstart::kVersion) + "-" +
+         key + ".ckpt";
+}
+
+std::string restore_checkpoint(const std::string& path,
+                               const std::string& key, sim::Ssd& ssd) {
+  const MappedCheckpoint bytes(path);
+  io::warmstart::Header h;
+  std::size_t payload_at = 0;
+  const std::string why = open_container(bytes, &h, &payload_at);
+  if (!why.empty()) return why;
+  return restore_validated(bytes, h, payload_at, key, ssd);
 }
 
 bool is_checkpoint_file(const std::string& path) {
@@ -200,12 +201,13 @@ std::unique_ptr<sim::Ssd> open_checkpoint(const std::string& path,
     *error = what;
     return nullptr;
   };
+  // The whole container is validated before its key is trusted to name
+  // the device to build.
+  const MappedCheckpoint bytes(path);
   io::warmstart::Header h;
-  {
-    const MappedCheckpoint bytes(path);
-    if (!bytes.opened()) return fail("cannot read file");
-    io::StateSource src(bytes.data(), bytes.size());
-    if (!io::warmstart::read_header(src, &h)) return fail(kNotACheckpoint);
+  std::size_t payload_at = 0;
+  if (std::string why = open_container(bytes, &h, &payload_at); !why.empty()) {
+    return fail(why);
   }
   const std::optional<ExperimentSpec> spec = ExperimentSpec::from_key(h.key);
   if (!spec) return fail("header key '" + h.key + "' is not a cell key");
@@ -230,7 +232,7 @@ std::unique_ptr<sim::Ssd> open_checkpoint(const std::string& path,
   }
   auto ssd = std::make_unique<sim::Ssd>(
       cfg, cache::make_scheme(spec->scheme, cfg, spec->options));
-  const std::string why = restore_checkpoint(path, h.key, *ssd);
+  const std::string why = restore_validated(bytes, h, payload_at, h.key, *ssd);
   if (!why.empty()) return fail(why);
   return ssd;
 }
@@ -276,13 +278,8 @@ bool WarmStartCache::store(const std::string& key,
   ssd.save(payload_sink);
   const std::vector<std::uint8_t> payload = payload_sink.take();
 
-  io::warmstart::Header h = header_for(key, ssd);
-  h.payload_size = payload.size();
-  h.payload_checksum = io::warmstart::fnv1a(payload.data(), payload.size());
-
-  io::StateSink file_sink;
-  io::warmstart::write_header(file_sink, h);
-  const std::vector<std::uint8_t>& head = file_sink.buffer();
+  const std::vector<std::uint8_t> head =
+      io::warmstart::make_head(header_for(key, ssd), payload);
 
   // Concurrent runners (PPSSD_JOBS) either lose the exists() race above
   // or atomically publish identical bytes — both are fine.

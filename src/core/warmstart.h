@@ -34,10 +34,11 @@ namespace ppssd::core {
 
 /// The checkpoint gate. Opens the PPSSDWRM container at `path` and,
 /// before the payload touches `ssd`, checks the magic and container
-/// version, that the embedded key is `key`, that the header geometry
-/// matches `ssd`, and the payload's size and checksum; then restores
-/// `ssd` (freshly constructed from the key's config). Returns "" on
-/// success, else why the file was rejected; `ssd` is then untouched.
+/// version, the checksum over header and payload, the payload's size,
+/// that the embedded key is `key` and that the header geometry matches
+/// `ssd`; then restores `ssd` (freshly constructed from the key's
+/// config). Returns "" on success, else why the file was rejected; `ssd`
+/// is then untouched.
 [[nodiscard]] std::string restore_checkpoint(const std::string& path,
                                              const std::string& key,
                                              sim::Ssd& ssd);
@@ -54,10 +55,12 @@ namespace ppssd::core {
 /// walk the snapshot sink makes of a live device. Returns false with
 /// `*error` set on an unreadable, malformed or corrupt file.
 ///
-/// The key sits outside the payload checksum. Before a device is built
-/// it is checked for syntax, a registered scheme and trace, and
-/// agreement with the header geometry; option names are checked only by
-/// the scheme's factory, which aborts on an unknown one.
+/// The whole container, key included, passes the checksum before a
+/// device is built from the key; the key is then checked for syntax, a
+/// registered scheme and trace, and agreement with the header geometry
+/// (option names are checked only by the scheme's factory, which aborts
+/// on an unknown one — a checksummed key can carry one only if it was
+/// written that way).
 [[nodiscard]] bool load_checkpoint_as_snapshot(
     const std::string& path, telemetry::introspect::SnapshotFile* out,
     std::string* error);

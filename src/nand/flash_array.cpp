@@ -33,8 +33,9 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   }
   sp_state_.assign(slots, 0);
   sp_owner_.assign(slots, 0);
-  sp_wtime_.assign(slots, 0);
-  sp_version_.assign(slots, 0);
+  slc_slots_per_block_ =
+      static_cast<std::size_t>(geom_.pages_per_block(CellMode::kSlc)) * spp_;
+  slc_wtime_.assign(geom_.slc_block_count() * slc_slots_per_block_, 0);
   sp_programs_before_.assign(slots, 0);
   sp_neighbors_before_.assign(slots, 0);
   slc_hist_.resize(geom_.slc_block_count());
@@ -66,6 +67,7 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   // (SLC-mode blocks only carry the cold-population histogram).
   const std::uint8_t pre_ops = pg.program_ops_;
   const bool slc = blk.mode() == CellMode::kSlc;
+  std::uint32_t* wtime = slc_wtime_row(blk, p);
   if (pre_ops == 0) {
     PPSSD_CHECK_MSG(p == blk.frontier_, "out-of-order first program of a page");
     ++blk.frontier_;
@@ -73,7 +75,7 @@ bool FlashArray::program_reference(BlockId b, PageId p,
     for (std::uint32_t s = 0; s < spp_; ++s) {
       if (sp_state_[base + s] ==
           static_cast<std::uint8_t>(SubpageState::kValid)) {
-        slc_hist_[geom_.slc_ordinal(b)].remove(sp_wtime_[base + s]);
+        slc_hist_[geom_.slc_ordinal(b)].remove(wtime[s]);
       }
     }
   }
@@ -90,8 +92,7 @@ bool FlashArray::program_reference(BlockId b, PageId p,
                     "programming a non-free subpage (NAND write-once rule)");
     sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
     sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-    sp_version_[i] = w.version;
-    sp_wtime_[i] = wt;
+    if (slc) wtime[w.slot] = wt;
     sp_programs_before_[i] = pre_ops;
     sp_neighbors_before_[i] = pg.neighbor_programs_;
   }
@@ -101,9 +102,9 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   // Layer "block" aggregates, separate pass.
   const auto n = static_cast<std::uint32_t>(writes.size());
   blk.valid_ += n;
-  blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-  if (pre_ops == 0 && slc) {
-    slc_hist_[geom_.slc_ordinal(b)].add(wt, n);
+  if (slc) {
+    blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
+    if (pre_ops == 0) slc_hist_[geom_.slc_ordinal(b)].add(wt, n);
   }
 
   // Wordline adjacency: programming page p disturbs pages p-1 and p+1 of
@@ -125,6 +126,7 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   }
   if (partial) ++counters_.partial_program_ops;
   planes_[geom_.plane_of(b)].count_program();
+  if (slot_observer_ != nullptr) slot_observer_->on_program(b, p, writes);
   return partial;
 }
 
@@ -144,7 +146,6 @@ void FlashArray::prefill_page(BlockId b, PageId p,
                     "programming a non-free subpage (NAND write-once rule)");
     sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
     sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-    sp_version_[i] = w.version;
     // write_time_ms, programs_before, neighbors_before stay 0: a frontier
     // fill at sim time 0 has seen no prior programs or neighbour disturbs.
   }
@@ -169,6 +170,7 @@ void FlashArray::prefill_page(BlockId b, PageId p,
     counters_.mlc_subpages_written += n;
   }
   planes_[bs.plane].count_program();
+  if (slot_observer_ != nullptr) slot_observer_->on_program(b, p, writes);
 }
 
 bool FlashArray::can_partial_program(BlockId b, PageId p) const {
@@ -193,17 +195,20 @@ void FlashArray::invalidate_reference(BlockId b, PageId p, SubpageId s) {
   sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
 
   // Layer "block": aggregates in a separate pass.
-  const std::uint32_t wt = sp_wtime_[i];
   PPSSD_CHECK(blk.valid_ > 0);
   --blk.valid_;
   ++blk.invalid_;
-  blk.sum_write_time_ms_ -= wt;
-  if (blk.pages_[p].program_ops() == 1 && blk.mode() == CellMode::kSlc) {
-    slc_hist_[geom_.slc_ordinal(b)].remove(wt);
+  if (blk.mode() == CellMode::kSlc) {
+    const std::uint32_t wt = slc_wtime_row(blk, p)[s];
+    blk.sum_write_time_ms_ -= wt;
+    if (blk.pages_[p].program_ops() == 1) {
+      slc_hist_[geom_.slc_ordinal(b)].remove(wt);
+    }
   }
   if (observer_ != nullptr) {
     observer_->on_subpage_invalidated(b, blk.invalid_);
   }
+  if (slot_observer_ != nullptr) slot_observer_->on_invalidate(b, p, s);
 }
 
 void FlashArray::erase(BlockId b, SimTime now) {
@@ -212,18 +217,17 @@ void FlashArray::erase(BlockId b, SimTime now) {
   PPSSD_CHECK_MSG(blk.valid_subpages() == 0,
                   "erasing a block that still holds valid data");
   blk.erase(now);
-  // Rebase the histogram on this erase so bucket widths are log-spaced in
-  // the block's own fill window (same ms truncation as the program path).
-  if (AgeHistogram* hist = slc_histogram(blk)) {
-    hist->clear(static_cast<std::uint32_t>(now / 1'000'000));
-  }
-  // Clear the block's SoA slot range back to the erased state.
+  // Clear the block's slot range back to the erased state, and rebase the
+  // histogram on this erase so bucket widths are log-spaced in the block's
+  // own fill window (same ms truncation as the program path).
   const std::size_t base = slot_base_[b];
   const std::size_t n = static_cast<std::size_t>(blk.page_count()) * spp_;
+  if (AgeHistogram* hist = slc_histogram(blk)) {
+    hist->clear(static_cast<std::uint32_t>(now / 1'000'000));
+    std::fill_n(slc_wtime_row(blk, 0), n, std::uint32_t{0});
+  }
   std::fill_n(sp_state_.begin() + base, n, std::uint8_t{0});
   std::fill_n(sp_owner_.begin() + base, n, std::uint32_t{0});
-  std::fill_n(sp_wtime_.begin() + base, n, std::uint32_t{0});
-  std::fill_n(sp_version_.begin() + base, n, std::uint32_t{0});
   std::fill_n(sp_programs_before_.begin() + base, n, std::uint8_t{0});
   std::fill_n(sp_neighbors_before_.begin() + base, n, std::uint16_t{0});
   const BlockStatic& bs = statics_[b];
@@ -233,6 +237,7 @@ void FlashArray::erase(BlockId b, SimTime now) {
     ++counters_.mlc_erases;
   }
   planes_[bs.plane].count_erase();
+  if (slot_observer_ != nullptr) slot_observer_->on_erase(b);
 }
 
 void FlashArray::count_read(BlockId b) {
@@ -260,10 +265,9 @@ void FlashArray::save(io::StateSink& sink) const {
 
   sink.vec(sp_state_);
   sink.vec(sp_owner_);
-  sink.vec(sp_wtime_);
-  sink.vec(sp_version_);
   sink.vec(sp_programs_before_);
   sink.vec(sp_neighbors_before_);
+  sink.vec(slc_wtime_);
 
   // Page fields as three global SoA rows (block-major, page order), so
   // restore ingests them as three bulk copies instead of a per-page
@@ -324,10 +328,9 @@ void FlashArray::restore(io::StateSource& src) {
   // vec_into sticky-fails on any length mismatch.
   (void)src.vec_into(sp_state_);
   (void)src.vec_into(sp_owner_);
-  (void)src.vec_into(sp_wtime_);
-  (void)src.vec_into(sp_version_);
   (void)src.vec_into(sp_programs_before_);
   (void)src.vec_into(sp_neighbors_before_);
+  (void)src.vec_into(slc_wtime_);
   PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint rows truncated");
 
   const std::vector<std::uint8_t> pg_ops = src.vec<std::uint8_t>();

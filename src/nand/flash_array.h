@@ -13,7 +13,12 @@
 // indexed by a precomputed per-block slot base) so a state scan touches
 // one densely packed row instead of striding over interleaved structs.
 // Every per-slot and per-block table sits on 2 MiB pages (HugeVector,
-// DESIGN.md §16): the write path hits them in random order.
+// DESIGN.md §16): the write path hits them in random order. A row exists
+// only where a library decision reads it: write times are kept for SLC
+// slots alone (indexed by the block's SLC ordinal, like the age
+// histograms), and no row stores a data version — a null-by-default
+// SlotObserver sees every program's SlotWrite::source instead, which is
+// how the test-side integrity shadow tracks provenance (DESIGN.md §7).
 // The layer-by-layer chains survive as program_reference()/
 // invalidate_reference() oracles, held state-identical by
 // tests/nand/fused_path_test.cpp. Contract invariants (write-once,
@@ -70,6 +75,25 @@ class BlockObserver {
   virtual void on_subpage_invalidated(BlockId b, std::uint32_t invalid) = 0;
 };
 
+/// Observer of slot contents: every program (with the slot writes as
+/// given, so a copy's SlotWrite::source is visible), invalidation and
+/// erase. The array keeps no per-slot provenance itself; the test-side
+/// integrity shadow (tests/support/integrity_shadow.h) rebuilds it from
+/// these calls. While none is attached each operation pays one pointer
+/// test.
+class SlotObserver {
+ public:
+  virtual ~SlotObserver() = default;
+  /// Page (b, p) was programmed with `writes` (program, prefill_page, and
+  /// the destination of reprogram).
+  virtual void on_program(BlockId b, PageId p,
+                          std::span<const SlotWrite> writes) = 0;
+  /// Slot (b, p, s) went valid -> invalid.
+  virtual void on_invalidate(BlockId b, PageId p, SubpageId s) = 0;
+  /// Block `b` was erased.
+  virtual void on_erase(BlockId b) = 0;
+};
+
 /// Immutable physical coordinates of a block, precomputed once at
 /// construction so the per-operation paths (and the schemes' op-emission
 /// helpers) never pay the plane_of/chip_of/channel_of divisions.
@@ -115,18 +139,27 @@ class FlashArray {
     return slot_base_[b] + static_cast<std::size_t>(p) * spp_ + s;
   }
 
+  /// slot_index() as a SlotWrite::source: validate() keeps every device's
+  /// slot count below kHostData.
+  [[nodiscard]] std::uint32_t source_slot(BlockId b, PageId p,
+                                          SubpageId s) const {
+    return static_cast<std::uint32_t>(slot_index(b, p, s));
+  }
+
   [[nodiscard]] SubpageState subpage_state(BlockId b, PageId p,
                                            SubpageId s) const {
     return static_cast<SubpageState>(sp_state_[slot_index(b, p, s)]);
   }
 
-  /// Materialized copy of one subpage's stored fields (SoA gather).
+  /// Materialized copy of one subpage's stored fields (SoA gather). The
+  /// write time reads 0 on a dense slot, which keeps none.
   [[nodiscard]] Subpage subpage(BlockId b, PageId p, SubpageId s) const {
     const std::size_t i = slot_index(b, p, s);
     Subpage sp;
     sp.owner_lsn = sp_owner_[i];
-    sp.write_time_ms = sp_wtime_[i];
-    sp.version = sp_version_[i];
+    if (const std::uint32_t* wt = slc_wtime_row(blocks_[b], p)) {
+      sp.write_time_ms = wt[s];
+    }
     sp.state = static_cast<SubpageState>(sp_state_[i]);
     sp.programs_before = sp_programs_before_[i];
     sp.neighbors_before = sp_neighbors_before_[i];
@@ -183,8 +216,8 @@ class FlashArray {
   /// neighbour disturb. Returns true if it was a partial program.
   ///
   /// Fused single-pass implementation: subpage rows, page counters, block
-  /// aggregates, the age histogram (SLC blocks) and array counters update
-  /// in one walk over `writes`.
+  /// aggregates, the write times and age histogram (SLC blocks) and array
+  /// counters update in one walk over `writes`.
   bool program(BlockId b, PageId p, std::span<const SlotWrite> writes,
                SimTime now) {
     PPSSD_DCHECK(b < blocks_.size());
@@ -194,6 +227,7 @@ class FlashArray {
     Page& pg = blk.pages_[p];
     const std::size_t base = slot_base_[b] + static_cast<std::size_t>(p) * spp_;
     AgeHistogram* hist = slc_histogram(blk);
+    std::uint32_t* wtime = slc_wtime_row(blk, p);  // null iff hist is
     const std::uint8_t pre_ops = pg.program_ops_;
     if (pre_ops == 0) {
       // First program of a page must land on the write frontier: NAND
@@ -210,7 +244,7 @@ class FlashArray {
         for (std::uint32_t s = 0; s < spp_; ++s) {
           if (sp_state_[base + s] ==
               static_cast<std::uint8_t>(SubpageState::kValid)) {
-            hist->remove(sp_wtime_[base + s]);
+            hist->remove(wtime[s]);
           }
         }
       }
@@ -227,8 +261,7 @@ class FlashArray {
                       "programming a non-free subpage (NAND write-once rule)");
       sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
       sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-      sp_version_[i] = w.version;
-      sp_wtime_[i] = wt;
+      if (wtime != nullptr) wtime[w.slot] = wt;
       sp_programs_before_[i] = pre_ops;
       sp_neighbors_before_[i] = pg.neighbor_programs_;
     }
@@ -236,9 +269,9 @@ class FlashArray {
 
     const auto n = static_cast<std::uint32_t>(writes.size());
     blk.valid_ += n;
-    blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-    if (pre_ops == 0 && hist != nullptr) {
-      hist->add(wt, n);
+    if (hist != nullptr) {
+      blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
+      if (pre_ops == 0) hist->add(wt, n);
     }
 
     // Wordline adjacency: programming page p disturbs pages p-1 and p+1
@@ -261,6 +294,7 @@ class FlashArray {
     }
     if (pre_ops > 0) ++counters_.partial_program_ops;
     planes_[bs.plane].count_program();
+    if (slot_observer_ != nullptr) slot_observer_->on_program(b, p, writes);
     return pre_ops > 0;
   }
 
@@ -314,8 +348,8 @@ class FlashArray {
   [[nodiscard]] bool can_partial_program(BlockId b, PageId p) const;
 
   /// Fused invalidate: one slot lookup updates the state row, block
-  /// aggregates, the age histogram (SLC blocks) and the observer in a
-  /// single pass.
+  /// aggregates, the write-time sum and age histogram (SLC blocks) and the
+  /// observers in a single pass.
   void invalidate(BlockId b, PageId p, SubpageId s) {
     PPSSD_DCHECK(b < blocks_.size());
     Block& blk = blocks_[b];
@@ -327,17 +361,18 @@ class FlashArray {
                         static_cast<std::uint8_t>(SubpageState::kValid),
                     "invalidating a subpage that is not valid");
     sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
-    const std::uint32_t wt = sp_wtime_[i];
     PPSSD_DCHECK(blk.valid_ > 0);
     --blk.valid_;
     ++blk.invalid_;
-    blk.sum_write_time_ms_ -= wt;
-    if (blk.pages_[p].program_ops_ == 1) {
-      if (AgeHistogram* hist = slc_histogram(blk)) hist->remove(wt);
+    if (AgeHistogram* hist = slc_histogram(blk)) {
+      const std::uint32_t wt = slc_wtime_row(blk, p)[s];
+      blk.sum_write_time_ms_ -= wt;
+      if (blk.pages_[p].program_ops_ == 1) hist->remove(wt);
     }
     if (observer_ != nullptr) {
       observer_->on_subpage_invalidated(b, blk.invalid_);
     }
+    if (slot_observer_ != nullptr) slot_observer_->on_invalidate(b, p, s);
   }
 
   /// Layer-by-layer invalidate chain, kept as the equivalence oracle for
@@ -387,8 +422,14 @@ class FlashArray {
   /// observer must outlive the array or unregister before destruction.
   void set_block_observer(BlockObserver* observer) { observer_ = observer; }
 
-  /// Serialize the complete mutable array state (SoA rows, per-page and
-  /// per-block counters, wear, SLC histograms, operation counters) for the
+  /// Register (or clear, with nullptr) the single slot observer, under
+  /// the same lifetime rule. Restore does not notify it: attach it to a
+  /// device before that device's first program.
+  void set_slot_observer(SlotObserver* observer) { slot_observer_ = observer; }
+
+  /// Serialize the complete mutable array state (SoA rows, the SLC write
+  /// times, per-page and per-block counters, wear, SLC histograms,
+  /// operation counters) for the
   /// warm-start checkpoint. Geometry/config are not written — the restore
   /// target must be constructed from the same SsdConfig.
   void save(io::StateSink& sink) const;
@@ -404,6 +445,20 @@ class FlashArray {
                : &slc_hist_[blk.slc_ordinal_];
   }
 
+  /// Write times of page `p` of SLC-mode block `blk` (indexed by slot),
+  /// or nullptr on a dense block, which keeps none.
+  [[nodiscard]] std::uint32_t* slc_wtime_row(const Block& blk, PageId p) {
+    return blk.slc_ordinal_ == Block::kNoSlcOrdinal
+               ? nullptr
+               : &slc_wtime_[static_cast<std::size_t>(blk.slc_ordinal_) *
+                                 slc_slots_per_block_ +
+                             static_cast<std::size_t>(p) * spp_];
+  }
+  [[nodiscard]] const std::uint32_t* slc_wtime_row(const Block& blk,
+                                                   PageId p) const {
+    return const_cast<FlashArray*>(this)->slc_wtime_row(blk, p);
+  }
+
   SsdConfig cfg_;
   Geometry geom_;
   HugeVector<Block> blocks_;
@@ -414,6 +469,7 @@ class FlashArray {
   std::vector<Chip> chips_;
   ArrayCounters counters_;
   BlockObserver* observer_ = nullptr;
+  SlotObserver* slot_observer_ = nullptr;
 
   // Structure-of-arrays subpage rows (DESIGN.md §14). Slot index =
   // slot_base_[b] + page * spp_ + slot; slot_base_ is precomputed per
@@ -422,8 +478,10 @@ class FlashArray {
   HugeVector<std::size_t> slot_base_;
   HugeVector<std::uint8_t> sp_state_;
   HugeVector<std::uint32_t> sp_owner_;
-  HugeVector<std::uint32_t> sp_wtime_;
-  HugeVector<std::uint32_t> sp_version_;
+  // Write times of the SLC-mode slots only: slc_ordinal *
+  // slc_slots_per_block_ + page * spp_ + slot (slc_wtime_row).
+  std::size_t slc_slots_per_block_ = 0;
+  HugeVector<std::uint32_t> slc_wtime_;
   HugeVector<std::uint8_t> sp_programs_before_;
   HugeVector<std::uint16_t> sp_neighbors_before_;
 };

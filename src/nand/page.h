@@ -8,12 +8,18 @@
 // page had seen when the subpage was written, so the disturb *it* has
 // absorbed since is a subtraction, not a per-event fan-out.
 //
-// Storage layout (DESIGN.md §14): per-subpage fields live in
+// Storage layout (DESIGN.md §14, §16): per-subpage fields live in
 // structure-of-arrays rows owned by FlashArray — the fused program/
 // invalidate paths and the GC oracles walk one field's row each instead of
 // striding over interleaved structs. `Subpage` survives as the *value*
 // type those rows gather into (accessors, tests, BER snapshots); `Page`
 // keeps only the per-page counters the disturb model subtracts against.
+//
+// The rows hold only what a library decision reads. Write times exist on
+// SLC-mode slots alone (ISR GC ages SLC victims only), and no slot stores
+// a data version: which write a slot's data came from is reported to an
+// attached SlotObserver through SlotWrite::source and tracked, where a
+// test wants it, by tests/support/IntegrityShadow (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -33,10 +39,10 @@ enum class SubpageState : std::uint8_t {
 struct Subpage {
   /// Logical subpage stored here (valid only when state == kValid).
   std::uint32_t owner_lsn = 0;
-  /// Wall-clock (sim) write time, milliseconds. Used by the IS' age model.
+  /// Sim write time, milliseconds. Used by the IS' age model, which scores
+  /// SLC-mode blocks only, so it is kept on SLC slots alone and reads 0 on
+  /// every dense slot.
   std::uint32_t write_time_ms = 0;
-  /// Monotonic per-LSN version, for integrity checking.
-  std::uint32_t version = 0;
   SubpageState state = SubpageState::kFree;
   /// Page program-op count when this subpage was written.
   std::uint8_t programs_before = 0;
@@ -49,11 +55,18 @@ struct Subpage {
 /// Maximum subpages per page supported without heap allocation.
 inline constexpr std::uint32_t kMaxSubpagesPerPage = 8;
 
+/// SlotWrite::source of data that comes from the host, not from a slot.
+inline constexpr std::uint32_t kHostData = 0xffffffffu;
+
 /// One subpage slot to fill in a program operation.
 struct SlotWrite {
   SubpageId slot = 0;
   Lsn lsn = kInvalidLsn;
-  std::uint32_t version = 0;
+  /// Where the data comes from: the flat slot index (FlashArray::
+  /// slot_index) it is copied out of by GC, eviction or reprogram, or
+  /// kHostData for a host write. Passed to the SlotObserver only; never
+  /// stored in a row.
+  std::uint32_t source = kHostData;
 };
 
 /// Per-page counters. Subpage slot contents live in the FlashArray rows;

@@ -16,6 +16,7 @@
 #include "cache/registry.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::cache {
 namespace {
@@ -80,6 +81,8 @@ TEST(IpsScheme, RandomizedEquivalenceWithMigrationOracle) {
   oracle_opts.set("rpg", "0");
   const auto fast = make_scheme("IPS", cfg, fast_opts);
   const auto oracle = make_scheme("IPS", cfg, oracle_opts);
+  const test::IntegrityShadow fast_data(fast->array());
+  const test::IntegrityShadow oracle_data(oracle->array());
 
   // Committed GC decisions must match step for step.
   std::vector<std::string> fast_gc;
@@ -118,9 +121,11 @@ TEST(IpsScheme, RandomizedEquivalenceWithMigrationOracle) {
   }
   ASSERT_GT(fast->metrics().slc_gc_count, 0u);
 
-  // Identical logical state: every version and every mapping agrees.
+  // Identical logical state: every version (host write count and the
+  // write the stored data came from) and every mapping agrees.
   for (Lsn lsn = 0; lsn < span; ++lsn) {
-    ASSERT_EQ(fast->version_of(lsn), oracle->version_of(lsn)) << lsn;
+    ASSERT_EQ(fast_data.host_writes(lsn), oracle_data.host_writes(lsn)) << lsn;
+    ASSERT_EQ(fast_data.latest(lsn), oracle_data.latest(lsn)) << lsn;
     ASSERT_EQ(fast->device_map().lookup(lsn), oracle->device_map().lookup(lsn))
         << lsn;
   }
@@ -182,6 +187,8 @@ TEST(IpsScheme, RandomizedEquivalenceWithMigrationOracle) {
 
   fast->check_consistency();
   oracle->check_consistency();
+  fast_data.check(*fast);
+  oracle_data.check(*oracle);
 }
 
 }  // namespace

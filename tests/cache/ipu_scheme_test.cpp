@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::cache {
 namespace {
@@ -22,6 +23,7 @@ struct Harness {
   }
 
   IpuScheme scheme;
+  test::IntegrityShadow shadow{scheme.array()};
   std::vector<PhysOp> ops;
   SimTime now = 0;
 };
@@ -48,6 +50,7 @@ TEST(IpuScheme, UpdateStaysInSamePage) {
   // The page now shows one partial program.
   EXPECT_EQ(h.scheme.array().block(v1.block).page(v1.page).program_ops(), 2);
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
 }
 
 TEST(IpuScheme, InPageDisturbHitsOnlyInvalidData) {
@@ -78,6 +81,7 @@ TEST(IpuScheme, FourthVersionClimbsToMonitor) {
             BlockLevel::kMonitor);
   EXPECT_EQ(h.scheme.metrics().level_subpages[2], 1u);
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
 }
 
 TEST(IpuScheme, HotDataReachesHotLevelAndStays) {
@@ -155,9 +159,10 @@ TEST(IpuScheme, MisalignedOverlapTreatedAsNewData) {
   h.write(300, 2);  // extent [300, 302)
   h.write(301, 2);  // overlaps the tail + one fresh subpage
   EXPECT_EQ(h.scheme.metrics().intra_page_updates, 0u);
-  EXPECT_EQ(h.scheme.version_of(301), 2u);
-  EXPECT_EQ(h.scheme.version_of(302), 1u);
+  EXPECT_EQ(h.shadow.host_writes(301), 2u);
+  EXPECT_EQ(h.shadow.host_writes(302), 1u);
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
 }
 
 TEST(IpuScheme, ColdDataSinksOnGcAndHotSurvives) {
@@ -180,6 +185,7 @@ TEST(IpuScheme, ColdDataSinksOnGcAndHotSurvives) {
   EXPECT_TRUE(h.scheme.device_map().mapped(1000));
   EXPECT_FALSE(h.scheme.cached_in_slc(1000));
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
 }
 
 TEST(IpuScheme, AblationFlagsChangeBehaviour) {
@@ -211,6 +217,7 @@ TEST(IpuScheme, CombineColdSharesPagesAcrossRequests) {
       << "cold data should aggregate into the shared page";
   EXPECT_GT(h.scheme.array().counters().partial_program_ops, 0u);
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
 }
 
 TEST(IpuScheme, CombineColdStillUpdatesInPlace) {
@@ -219,8 +226,9 @@ TEST(IpuScheme, CombineColdStillUpdatesInPlace) {
   h.write(100, 1);   // first write: combined as cold
   h.write(100, 1);   // second write: known data, update path
   EXPECT_TRUE(h.scheme.cached_in_slc(100));
-  EXPECT_EQ(h.scheme.version_of(100), 2u);
+  EXPECT_EQ(h.shadow.host_writes(100), 2u);
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
 }
 
 TEST(IpuScheme, CombineColdImprovesGcUtilization) {
@@ -238,6 +246,7 @@ TEST(IpuScheme, CombineColdImprovesGcUtilization) {
   EXPECT_GT(combined.scheme.metrics().gc_utilization.mean(),
             plain.scheme.metrics().gc_utilization.mean());
   combined.scheme.check_consistency();
+  combined.shadow.check(combined.scheme);
 }
 
 TEST(IpuScheme, WorksAcrossFullWorkload) {
@@ -255,6 +264,7 @@ TEST(IpuScheme, WorksAcrossFullWorkload) {
     h.write(lsn, 2);
   }
   h.scheme.check_consistency();
+  h.shadow.check(h.scheme);
   EXPECT_GT(m.slc_gc_count, 0u);
   EXPECT_GT(m.evicted_subpages, 0u);
 }

@@ -5,6 +5,7 @@
 
 #include "cache/scheme.h"
 #include "common/units.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::cache {
 namespace {
@@ -31,6 +32,7 @@ struct Harness {
   SimTime clock() { return now += ms_to_ns(1.0); }
 
   std::unique_ptr<Scheme> scheme;
+  test::IntegrityShadow shadow{scheme->array()};
   std::vector<PhysOp> ops;
   SimTime now = 0;
 };
@@ -38,8 +40,8 @@ struct Harness {
 TEST(SchemeCommon, WriteThenReadRoundTrip) {
   Harness h;
   h.write(100, 2);
-  EXPECT_EQ(h.scheme->version_of(100), 1u);
-  EXPECT_EQ(h.scheme->version_of(101), 1u);
+  EXPECT_EQ(h.shadow.host_writes(100), 1u);
+  EXPECT_EQ(h.shadow.host_writes(101), 1u);
   EXPECT_TRUE(h.scheme->cached_in_slc(100));
 
   h.read(100, 2);
@@ -49,6 +51,7 @@ TEST(SchemeCommon, WriteThenReadRoundTrip) {
   EXPECT_EQ(h.ops[0].subpages, 2u);
   EXPECT_EQ(h.scheme->metrics().host_reads_slc, 2u);
   h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);
 }
 
 TEST(SchemeCommon, UnmappedReadIsFree) {
@@ -66,12 +69,13 @@ TEST(SchemeCommon, OverwriteInvalidatesOldVersion) {
   h.write(10, 1);
   const auto second = h.scheme->device_map().lookup(10);
   EXPECT_NE(first, second);
-  EXPECT_EQ(h.scheme->version_of(10), 2u);
+  EXPECT_EQ(h.shadow.host_writes(10), 2u);
   // The old slot is invalid now.
   EXPECT_EQ(h.scheme->array().subpage_state(first.block, first.page,
                                             first.subpage),
             nand::SubpageState::kInvalid);
   h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);
 }
 
 TEST(SchemeCommon, WriteEmitsForegroundProgram) {
@@ -98,6 +102,7 @@ TEST(SchemeCommon, PrefillPopulatesMlc) {
   EXPECT_EQ(h.ops[0].mode, CellMode::kMlc);
   EXPECT_EQ(h.scheme->metrics().host_reads_mlc, 4u);
   h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);
 }
 
 TEST(SchemeCommon, PrefillRespectsFreeFloor) {
@@ -121,6 +126,7 @@ TEST(SchemeCommon, UpdateOfMlcDataEntersCacheAndInvalidatesMlc) {
                                             old_addr.subpage),
             nand::SubpageState::kInvalid);
   h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);
 }
 
 TEST(SchemeCommon, SlcGcTriggersWhenCacheFills) {
@@ -138,6 +144,7 @@ TEST(SchemeCommon, SlcGcTriggersWhenCacheFills) {
   h.read(0, 2);
   EXPECT_EQ(h.scheme->metrics().host_reads_unmapped, 0u);
   h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);
 }
 
 TEST(SchemeCommon, GcEmitsBackgroundOps) {
@@ -174,6 +181,7 @@ TEST(SchemeCommon, MlcGcReclaimsSpace) {
   EXPECT_GT(h.scheme->metrics().mlc_gc_count, 0u);
   EXPECT_GT(h.scheme->array().counters().mlc_erases, 0u);
   h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);
 }
 
 TEST(SchemeCommon, ReadBerGrowsWithDeviceWear) {
@@ -201,8 +209,9 @@ TEST(SchemeCommon, VersionsSurviveEviction) {
   for (Lsn lsn = 1000; lsn < 60'000; lsn += 2) {
     h.write(lsn, 2);
   }
-  EXPECT_EQ(h.scheme->version_of(7), 3u);
-  h.scheme->check_consistency();  // stored version must match everywhere
+  EXPECT_EQ(h.shadow.host_writes(7), 3u);
+  h.scheme->check_consistency();
+  h.shadow.check(*h.scheme);  // stored data is the latest write everywhere
 }
 
 TEST(SchemeCommon, FootprintMatchesKind) {

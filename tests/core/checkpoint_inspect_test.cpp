@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "cache/ipu_scheme.h"
 #include "cache/registry.h"
 #include "cache/scheme.h"
+#include "common/warmstart_format.h"
 #include "core/experiment.h"
 #include "core/warmstart.h"
 #include "sim/replayer.h"
@@ -247,8 +249,8 @@ TEST_F(WarmstartReader, RejectsCorruptOrTruncatedCheckpoints) {
   bad_magic[0] = 'X';
   rejects(bad_magic, "bad magic");
 
-  // The header key is outside the checksum: a damaged key is rejected
-  // before any device is built from it.
+  // The header key is inside the container checksum: a damaged key is
+  // rejected before any device is built from it.
   const std::string key = tiny_spec("IPS").key();
   const auto with_key = [&](const std::string& replacement) {
     EXPECT_EQ(replacement.size(), key.size());
@@ -282,6 +284,70 @@ TEST_F(WarmstartReader, RejectsCorruptOrTruncatedCheckpoints) {
   EXPECT_FALSE(
       load_checkpoint_as_snapshot(dir_ + "/no_such_file", &sink, &missing));
   EXPECT_FALSE(missing.empty());
+}
+
+// The container checksum covers the header: no single-bit flip anywhere
+// in it loads, neither through the cache gate nor through inspection —
+// in particular not as another cell under a still-parsing key.
+TEST_F(WarmstartReader, EveryHeaderBitFlipIsRejected) {
+  // A smaller cell than the fixture's keeps the ~1600 full-file checksum
+  // passes cheap.
+  ExperimentSpec spec = tiny_spec("IPS");
+  spec.total_blocks = 256;
+  const Fixture small = store_checkpoint(spec, dir_ + "/small");
+  const std::string& path = small.ckpt_path;
+  const std::vector<char> bytes = read_bytes(path);
+  io::warmstart::Header h;
+  std::size_t payload_at = 0;
+  ASSERT_EQ(io::warmstart::read_container(
+                std::span<const std::uint8_t>(
+                    reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                    bytes.size()),
+                &h, &payload_at),
+            "");
+  ASSERT_GT(payload_at, h.key.size());
+
+  const SsdConfig cfg = config_for(spec);
+  sim::Ssd target(cfg, cache::make_scheme(spec.scheme, cfg, spec.options));
+  std::fstream file(path,
+                    std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.is_open());
+  const auto put = [&](std::size_t at, char c) {
+    file.seekp(static_cast<std::streamoff>(at));
+    file.put(c);
+    file.flush();
+  };
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at < payload_at; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      put(at, static_cast<char>(bytes[at] ^ (1 << bit)));
+      EXPECT_NE(restore_checkpoint(path, spec.key(), target),
+                "")
+          << "byte " << at << " bit " << bit;
+      SnapshotFile sink;
+      std::string error;
+      EXPECT_FALSE(
+          load_checkpoint_as_snapshot(path, &sink, &error))
+          << "byte " << at << " bit " << bit;
+      ++rejected;
+    }
+    put(at, bytes[at]);
+  }
+  EXPECT_EQ(rejected, payload_at * 8);
+  // The version word names both versions when only it is off.
+  put(8, static_cast<char>(bytes[8] ^ 1));
+  const std::string stale =
+      restore_checkpoint(path, spec.key(), target);
+  EXPECT_NE(stale.find("container v" +
+                       std::to_string(io::warmstart::kVersion ^ 1)),
+            std::string::npos)
+      << stale;
+  EXPECT_NE(stale.find("this build reads v" +
+                       std::to_string(io::warmstart::kVersion)),
+            std::string::npos)
+      << stale;
+  put(8, bytes[8]);
+  EXPECT_EQ(restore_checkpoint(path, spec.key(), target), "");
 }
 
 // Cells with non-default scheme options carry them in the key; the

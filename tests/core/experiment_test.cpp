@@ -364,6 +364,33 @@ TEST(Runner, CachesResultsOnDisk) {
   std::filesystem::remove_all(dir);
 }
 
+// A cache directory that cannot be created (here it would sit below a
+// regular file) leaves every run correct but uncached: the runner says so
+// on stderr, once, instead of re-simulating every cell without a word.
+TEST(Runner, UnwritableCacheWarnsOnce) {
+  const std::string file = ::testing::TempDir() + "ppssd_runner_not_a_dir";
+  std::filesystem::remove_all(file);
+  std::ofstream(file) << "regular file";
+  Runner runner(file + "/cache");
+  ::testing::internal::CaptureStderr();
+  const ExperimentResult first = runner.run(tiny_spec());
+  ExperimentSpec other = tiny_spec();
+  other.pe_cycles += 1000;
+  const ExperimentResult second = runner.run(other);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const std::string line = "ppssd: cannot write result cache " + file +
+                           "/cache/v" + std::to_string(kResultSchemaVersion) +
+                           "-" + tiny_spec().key() + ".result\n";
+  EXPECT_NE(err.find(line), std::string::npos) << err;
+  EXPECT_EQ(err.find("cannot write result cache"),
+            err.rfind("cannot write result cache"))
+      << "warned more than once:\n"
+      << err;
+  EXPECT_GT(first.slc_erases, 0u);
+  EXPECT_GT(second.slc_erases, 0u);
+  std::filesystem::remove_all(file);
+}
+
 // A cache file cut short (a full disk, a writer killed mid-file) must be
 // re-simulated, never read back with its missing fields as zeros.
 TEST(Runner, TruncatedCacheFileIsAMiss) {

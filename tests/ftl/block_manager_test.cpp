@@ -14,7 +14,7 @@ namespace {
 SsdConfig small_config() { return SsdConfig::scaled(1024); }
 
 nand::SlotWrite w(SubpageId slot, Lsn lsn) {
-  return nand::SlotWrite{slot, lsn, 1};
+  return nand::SlotWrite{slot, lsn};
 }
 
 /// Program the allocated page so its frontier advances (alloc contract).

@@ -14,7 +14,7 @@ namespace {
 SsdConfig small_config() { return SsdConfig::scaled(1024); }
 
 nand::SlotWrite w(SubpageId slot, Lsn lsn) {
-  return nand::SlotWrite{slot, lsn, 1};
+  return nand::SlotWrite{slot, lsn};
 }
 
 /// Fill `pages` pages of a block with 4 valid subpages each at time `t`.

@@ -1,6 +1,8 @@
 // Randomized property testing: drive every scheme with adversarial
 // random workloads and verify the DESIGN.md §5 invariants plus full
-// read-your-writes data integrity against a shadow model.
+// read-your-writes data integrity: the driver counts the writes it
+// issued, and an IntegrityShadow on the array (DESIGN.md §7) checks that
+// every stored copy is its LSN's latest write.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -8,12 +10,13 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/ssd.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd {
 namespace {
 
 struct Shadow {
-  // lsn -> expected version.
+  // lsn -> host writes issued.
   std::unordered_map<Lsn, std::uint32_t> versions;
 };
 
@@ -35,6 +38,7 @@ TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
   SsdConfig cfg = SsdConfig::scaled(1024);
   cfg.cache.gc_interleave_ops = static_cast<std::uint32_t>(variant);  // 0,1,2
   sim::Ssd ssd(cfg, kind);
+  const test::IntegrityShadow data(ssd.scheme().array());
 
   // Tight footprint for variant 0 (heavy update/GC churn), wide for
   // others (heavy cold flow).
@@ -66,16 +70,19 @@ TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
 
     if (iter % 4000 == 3999) {
       ssd.scheme().check_consistency();
+      data.check(ssd.scheme());
     }
   }
   ssd.drain_background(now);
   ssd.scheme().check_consistency();
+  data.check(ssd.scheme());
 
-  // Read-your-writes: every written subpage is mapped and carries the
-  // expected version (check_consistency ties the stored copy to it).
+  // Read-your-writes: every written subpage is mapped, every issued write
+  // reached flash exactly once, and the stored copy is the latest write
+  // (data.check ties it to the count).
   for (const auto& [lsn, version] : shadow.versions) {
     EXPECT_TRUE(ssd.scheme().device_map().mapped(lsn)) << "lsn " << lsn;
-    EXPECT_EQ(ssd.scheme().version_of(lsn), version) << "lsn " << lsn;
+    EXPECT_EQ(data.host_writes(lsn), version) << "lsn " << lsn;
   }
 
   // Per-page partial-program limit held everywhere.
@@ -107,6 +114,7 @@ TEST(Invariants, SequentialOverwriteStress) {
   SsdConfig cfg = SsdConfig::scaled(1024);
   cfg.cache.gc_interleave_ops = 0;
   sim::Ssd ssd(cfg, "IPU");
+  const test::IntegrityShadow data(ssd.scheme().array());
   SimTime now = 0;
   for (int round = 0; round < 30; ++round) {
     for (Lsn lsn = 0; lsn < 4096; lsn += 4) {
@@ -115,8 +123,9 @@ TEST(Invariants, SequentialOverwriteStress) {
     }
   }
   ssd.scheme().check_consistency();
+  data.check(ssd.scheme());
   for (Lsn lsn = 0; lsn < 4096; ++lsn) {
-    EXPECT_EQ(ssd.scheme().version_of(lsn), 30u);
+    EXPECT_EQ(data.host_writes(lsn), 30u);
   }
 }
 
@@ -145,8 +154,11 @@ TEST(Invariants, MixedSchemesAgreeOnStoredData) {
   SsdConfig cfg = SsdConfig::scaled(1024);
   cfg.cache.gc_interleave_ops = 1;
   std::vector<std::unique_ptr<sim::Ssd>> devices;
+  std::vector<std::unique_ptr<test::IntegrityShadow>> data;
   for (const auto kind : {"Baseline", "MGA", "IPU", "IPS"}) {
     devices.push_back(std::make_unique<sim::Ssd>(cfg, kind));
+    data.push_back(std::make_unique<test::IntegrityShadow>(
+        devices.back()->scheme().array()));
   }
   Rng rng(77);
   SimTime now = 0;
@@ -160,13 +172,14 @@ TEST(Invariants, MixedSchemesAgreeOnStoredData) {
     }
   }
   for (Lsn lsn = 0; lsn < 30'000; ++lsn) {
-    const auto v = devices[0]->scheme().version_of(lsn);
+    const auto v = data[0]->host_writes(lsn);
     for (std::size_t d = 1; d < devices.size(); ++d) {
-      EXPECT_EQ(devices[d]->scheme().version_of(lsn), v);
+      EXPECT_EQ(data[d]->host_writes(lsn), v);
     }
   }
-  for (auto& dev : devices) {
-    dev->scheme().check_consistency();
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    devices[d]->scheme().check_consistency();
+    data[d]->check(devices[d]->scheme());
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "sim/replayer.h"
 #include "sim/ssd.h"
+#include "support/integrity_shadow.h"
 #include "trace/msr_parser.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
@@ -63,6 +64,8 @@ TEST(ReplayPipeline, SchemesSeeIdenticalRequestStream) {
   std::uint64_t checks = 0;
   sim::Ssd a(cfg(), "Baseline");
   sim::Ssd b(cfg(), "IPU");
+  const test::IntegrityShadow a_data(a.scheme().array());
+  const test::IntegrityShadow b_data(b.scheme().array());
   for (sim::Ssd* dev : {&a, &b}) {
     trace::SyntheticWorkload workload(profile, dev->logical_bytes(), 0.005);
     sim::Replayer replayer(*dev);
@@ -70,11 +73,13 @@ TEST(ReplayPipeline, SchemesSeeIdenticalRequestStream) {
   }
   for (Lsn lsn = 0; lsn < a.scheme().device_map().logical_subpages();
        lsn += 97) {
-    ASSERT_EQ(a.scheme().version_of(lsn), b.scheme().version_of(lsn))
+    ASSERT_EQ(a_data.host_writes(lsn), b_data.host_writes(lsn))
         << "lsn " << lsn;
     ++checks;
   }
   EXPECT_GT(checks, 1000u);
+  a_data.check(a.scheme());
+  b_data.check(b.scheme());
 }
 
 TEST(ReplayPipeline, RerunOnSameDeviceAccumulates) {

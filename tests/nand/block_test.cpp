@@ -12,7 +12,7 @@
 namespace ppssd::nand {
 namespace {
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 SsdConfig small_config() {
   SsdConfig cfg = SsdConfig::scaled(1024);
@@ -145,8 +145,10 @@ TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
                         : arr.geometry().slc_blocks_per_plane();
   ASSERT_EQ(arr.block(b).mode(), GetParam());
   const Block& blk = arr.block(b);
-  // Only SLC-mode blocks keep the cold-population histogram; an MLC block
-  // holds none, and its other aggregates must behave identically.
+  // Only SLC-mode blocks keep write times: the cold-population histogram
+  // and the write-time sum. An MLC block holds no histogram, its sum
+  // stays 0 and its slots read write time 0; its counts behave
+  // identically.
   const AgeHistogram* hist = arr.age_histogram(b);
   ASSERT_EQ(hist != nullptr, GetParam() == CellMode::kSlc);
   const auto expect_cold = [hist](std::uint32_t n) {
@@ -154,42 +156,50 @@ TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
       EXPECT_EQ(hist->total(), n);
     }
   };
+  const std::uint64_t slc = hist != nullptr ? 1 : 0;
+  const auto expect_sum = [&blk, slc](std::uint64_t ms) {
+    EXPECT_EQ(blk.sum_write_time_ms(), slc * ms);
+  };
 
   // First program: both subpages enter the sum and (SLC) the cold
   // histogram.
   const SlotWrite first[] = {w(0, 1), w(1, 2)};
   arr.program(b, 0, first, ms_to_ns(2.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 4u);  // 2 * 2 ms
+  expect_sum(4u);  // 2 * 2 ms
   expect_cold(2u);
+  EXPECT_EQ(arr.subpage(b, 0, 1).write_time_ms, slc * 2);
+  EXPECT_EQ(blk.valid_subpages(), 2u);
 
   // Partial program: the page becomes "updated", so its valid subpages
   // leave the cold population but stay in the age sum.
   const SlotWrite upd[] = {w(2, 3)};
   arr.program(b, 0, upd, ms_to_ns(7.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 11u);  // 2 + 2 + 7
+  expect_sum(11u);  // 2 + 2 + 7
   expect_cold(0u);
 
   // A fresh page keeps its own subpages cold.
   const SlotWrite second[] = {w(0, 4), w(1, 5), w(2, 6), w(3, 7)};
   arr.program(b, 1, second, ms_to_ns(9.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 11u + 4 * 9);
+  expect_sum(11u + 4 * 9);
   expect_cold(4u);
 
   // Invalidation drops the subpage from the sum; only never-updated pages
   // also shed a histogram entry.
   arr.invalidate(b, 0, 0);  // updated page: histogram untouched
-  EXPECT_EQ(blk.sum_write_time_ms(), 9u + 4 * 9);
+  expect_sum(9u + 4 * 9);
   expect_cold(4u);
   arr.invalidate(b, 1, 3);  // never-updated page
-  EXPECT_EQ(blk.sum_write_time_ms(), 9u + 3 * 9);
+  expect_sum(9u + 3 * 9);
   expect_cold(3u);
+  EXPECT_EQ(blk.valid_subpages(), 5u);
+  EXPECT_EQ(blk.invalid_subpages(), 2u);
 
   // Erase zeroes everything and rebases the histogram on the erase time.
   for (SubpageId s = 0; s < 3; ++s) arr.invalidate(b, 1, s);
   arr.invalidate(b, 0, 1);
   arr.invalidate(b, 0, 2);
   arr.erase(b, ms_to_ns(50.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 0u);
+  expect_sum(0u);
   expect_cold(0u);
   if (hist != nullptr) {
     EXPECT_EQ(hist->base_ms(), 50u);
@@ -198,8 +208,9 @@ TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
   // Reprogram after erase: aggregates restart from the new base.
   const SlotWrite again[] = {w(0, 8)};
   arr.program(b, 0, again, ms_to_ns(60.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 60u);
+  expect_sum(60u);
   expect_cold(1u);
+  EXPECT_EQ(arr.subpage(b, 0, 0).write_time_ms, slc * 60);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, BlockAggregates,

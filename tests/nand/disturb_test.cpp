@@ -11,7 +11,7 @@
 namespace ppssd::nand {
 namespace {
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 SsdConfig worn_config(std::uint64_t initial_pe) {
   SsdConfig cfg = SsdConfig::scaled(1024);

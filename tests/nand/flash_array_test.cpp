@@ -9,7 +9,7 @@ namespace {
 
 SsdConfig small_config() { return SsdConfig::scaled(1024); }
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 TEST(FlashArray, ConstructionPartitionsModes) {
   FlashArray arr(small_config());

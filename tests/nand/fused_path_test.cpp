@@ -6,12 +6,14 @@
 // of randomized program / invalidate / erase sequences through two
 // arrays built from the same config — one using the fused entry points,
 // one the reference oracles — and asserts the complete observable state
-// stays identical at every step: per-subpage fields (owner, version,
-// write time, disturb snapshots), page counters, block running
-// aggregates including the SLC blocks' age histograms (and the absence
-// of one on every MLC block), array counters, and the BlockObserver
-// event stream. prefill_page is additionally locked to a frontier-fill
-// through the reference path at sim time 0.
+// stays identical at every step: per-subpage fields (owner, write time,
+// disturb snapshots), the provenance each slot's data carries (an
+// IntegrityShadow on each array: some programs copy a stored slot, named
+// by SlotWrite::source), page counters, block running aggregates
+// including the SLC blocks' age histograms (and the absence of one on
+// every MLC block), array counters, and the BlockObserver event stream.
+// prefill_page is additionally locked to a frontier-fill through the
+// reference path at sim time 0.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -20,6 +22,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "nand/flash_array.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::nand {
 namespace {
@@ -38,7 +41,9 @@ class RecordingObserver : public BlockObserver {
   std::vector<ObservedEvent> events;
 };
 
-void expect_same_state(const FlashArray& fused, const FlashArray& ref) {
+void expect_same_state(const FlashArray& fused, const FlashArray& ref,
+                       const test::IntegrityShadow& fused_data,
+                       const test::IntegrityShadow& ref_data) {
   const auto& geom = fused.geometry();
   for (BlockId b = 0; b < geom.total_blocks(); ++b) {
     const Block& fb = fused.block(b);
@@ -73,7 +78,7 @@ void expect_same_state(const FlashArray& fused, const FlashArray& ref) {
         ASSERT_EQ(fs.state, rs.state)
             << "block " << b << " page " << p << " slot " << int(s);
         ASSERT_EQ(fs.owner_lsn, rs.owner_lsn);
-        ASSERT_EQ(fs.version, rs.version);
+        ASSERT_EQ(fused_data.token(b, p, s), ref_data.token(b, p, s));
         ASSERT_EQ(fs.write_time_ms, rs.write_time_ms);
         ASSERT_EQ(fs.programs_before, rs.programs_before);
         ASSERT_EQ(fs.neighbors_before, rs.neighbors_before);
@@ -109,6 +114,8 @@ TEST_P(FusedPathEquivalence, RandomSequencesAgree) {
   cfg.cache.max_partial_programs = 4;
   FlashArray fused(cfg);
   FlashArray ref(cfg);
+  const test::IntegrityShadow fused_data(fused);
+  const test::IntegrityShadow ref_data(ref);
   RecordingObserver fused_obs;
   RecordingObserver ref_obs;
   fused.set_block_observer(&fused_obs);
@@ -144,13 +151,18 @@ TEST_P(FusedPathEquivalence, RandomSequencesAgree) {
         if (!fused.can_partial_program(b, p)) p = kInvalidPage;
       }
       if (p == kInvalidPage) continue;
-      // Fill 1..free_slots random free slots.
+      // Fill 1..free_slots random free slots, each with host data or,
+      // now and then, a copy of a stored slot.
       std::vector<SlotWrite> writes;
       for (SubpageId s = 0; s < blk.subpages_per_page(); ++s) {
         if (fused.subpage_state(b, p, s) == SubpageState::kFree &&
             (writes.empty() || rng.chance(0.4))) {
-          writes.push_back({s, next_lsn, static_cast<std::uint32_t>(
-                                             1 + rng.next_below(9))});
+          std::uint32_t source = kHostData;
+          if (!valid_slots.empty() && rng.chance(0.2)) {
+            const Slot& from = valid_slots[rng.next_below(valid_slots.size())];
+            source = fused.source_slot(from.b, from.p, from.s);
+          }
+          writes.push_back({s, next_lsn, source});
           ++next_lsn;
         }
       }
@@ -179,11 +191,11 @@ TEST_P(FusedPathEquivalence, RandomSequencesAgree) {
       ref.erase(b, now);
     }
     if (step % 256 == 0) {
-      expect_same_state(fused, ref);
+      expect_same_state(fused, ref, fused_data, ref_data);
       ASSERT_EQ(fused_obs.events, ref_obs.events);
     }
   }
-  expect_same_state(fused, ref);
+  expect_same_state(fused, ref, fused_data, ref_data);
   ASSERT_EQ(fused_obs.events, ref_obs.events);
   ASSERT_FALSE(fused_obs.events.empty());
 }
@@ -197,6 +209,8 @@ TEST(FusedPathEquivalence, PrefillMatchesReferenceFrontierFill) {
   SsdConfig cfg = SsdConfig::scaled(1024);
   FlashArray fused(cfg);
   FlashArray ref(cfg);
+  const test::IntegrityShadow fused_data(fused);
+  const test::IntegrityShadow ref_data(ref);
   const auto& geom = fused.geometry();
   const BlockId mlc0 = geom.slc_blocks_per_plane();  // first MLC, plane 0
   Lsn lsn = 0;
@@ -210,14 +224,14 @@ TEST(FusedPathEquivalence, PrefillMatchesReferenceFrontierFill) {
                                   ? 1u
                                   : geom.subpages_per_page();
       for (std::uint32_t s = 0; s < n; ++s) {
-        writes.push_back({static_cast<SubpageId>(s), lsn, 1});
+        writes.push_back({static_cast<SubpageId>(s), lsn});
         ++lsn;
       }
       fused.prefill_page(b, p, writes);
       ref.program_reference(b, p, writes, /*now=*/0);
     }
   }
-  expect_same_state(fused, ref);
+  expect_same_state(fused, ref, fused_data, ref_data);
 }
 
 }  // namespace

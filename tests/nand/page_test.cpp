@@ -8,13 +8,12 @@
 #include "common/config.h"
 #include "common/units.h"
 #include "nand/flash_array.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::nand {
 namespace {
 
-SlotWrite w(SubpageId slot, Lsn lsn, std::uint32_t version = 1) {
-  return SlotWrite{slot, lsn, version};
-}
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 SsdConfig small_config() {
   SsdConfig cfg = SsdConfig::scaled(1024);
@@ -116,12 +115,30 @@ TEST(PageDeathTest, InvalidateFreeSlotAborts) {
   EXPECT_DEATH(f.arr.invalidate(f.b, 0, 0), "not valid");
 }
 
+// The stored data's version is its provenance: a host write's own token,
+// inherited by the copy that names its slot as the source. Write times
+// are kept on SLC slots only.
 TEST(Page, WriteTimestampAndVersionStored) {
   ArrayFixture f;
-  const SlotWrite a[] = {w(2, 77, 9)};
+  test::IntegrityShadow shadow(f.arr);
+  const SlotWrite a[] = {w(2, 77)};
   f.arr.program(f.b, 0, a, ms_to_ns(123.0));
-  EXPECT_EQ(f.arr.subpage(f.b, 0, 2).version, 9u);
+  EXPECT_EQ(f.arr.subpage(f.b, 0, 2).owner_lsn, 77u);
   EXPECT_EQ(f.arr.subpage(f.b, 0, 2).write_time_ms, 123u);
+  EXPECT_EQ(shadow.host_writes(77), 1u);
+  EXPECT_NE(shadow.token(f.b, 0, 2), 0u);
+  EXPECT_EQ(shadow.token(f.b, 0, 2), shadow.latest(77));
+
+  const BlockId mlc = f.arr.geometry().slc_blocks_per_plane();
+  ASSERT_EQ(f.arr.block(mlc).mode(), CellMode::kMlc);
+  const SlotWrite copy[] = {{0, 77, f.arr.source_slot(f.b, 0, 2)}};
+  f.arr.invalidate(f.b, 0, 2);
+  f.arr.program(mlc, 0, copy, ms_to_ns(200.0));
+  EXPECT_EQ(f.arr.subpage(mlc, 0, 0).owner_lsn, 77u);
+  EXPECT_EQ(f.arr.subpage(mlc, 0, 0).write_time_ms, 0u);
+  EXPECT_EQ(shadow.token(mlc, 0, 0), shadow.latest(77));
+  EXPECT_EQ(shadow.host_writes(77), 1u);
+  EXPECT_EQ(shadow.violation(), "");
 }
 
 TEST(Page, EraseClearsEverything) {

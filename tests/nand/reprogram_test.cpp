@@ -9,13 +9,14 @@
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::nand {
 namespace {
 
 SsdConfig small_config() { return SsdConfig::scaled(1024); }
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 struct TestPair {
   FlashArray a{small_config()};  // reprogram path
@@ -28,11 +29,15 @@ struct TestPair {
 
 TEST(Reprogram, DestinationStateMatchesConventionalProgram) {
   TestPair t;
+  const test::IntegrityShadow data_a(t.a);
+  const test::IntegrityShadow data_b(t.b);
   const SlotWrite src[] = {w(0, 10), w(1, 11), w(2, 12), w(3, 13)};
   t.a.program(t.slc, 0, src, 1000);
   t.b.program(t.slc, 0, src, 1000);
 
-  const SlotWrite moved[] = {w(0, 10), w(2, 12)};  // two slots survived
+  // Two slots survived; each names the SLC slot its data comes from.
+  const SlotWrite moved[] = {{0, 10, t.a.source_slot(t.slc, 0, 0)},
+                             {2, 12, t.a.source_slot(t.slc, 0, 2)}};
   t.a.reprogram(t.slc, 0, t.mlc, 0, moved, 2000);
   t.b.program(t.mlc, 0, moved, 2000);
 
@@ -44,8 +49,12 @@ TEST(Reprogram, DestinationStateMatchesConventionalProgram) {
     const Subpage sb = t.b.subpage(t.mlc, 0, s);
     EXPECT_EQ(sa.state, sb.state) << s;
     EXPECT_EQ(sa.owner_lsn, sb.owner_lsn) << s;
-    EXPECT_EQ(sa.version, sb.version) << s;
+    EXPECT_EQ(data_a.token(t.mlc, 0, s), data_b.token(t.mlc, 0, s)) << s;
   }
+  // The switched cells hold the very writes the SLC page held.
+  EXPECT_EQ(data_a.token(t.mlc, 0, 0), data_a.latest(10));
+  EXPECT_EQ(data_a.token(t.mlc, 0, 2), data_a.latest(12));
+  EXPECT_EQ(data_a.host_writes(10), 1u);
   EXPECT_EQ(t.a.block(t.mlc).valid_subpages(),
             t.b.block(t.mlc).valid_subpages());
   EXPECT_EQ(t.a.block(t.mlc).write_frontier(),
@@ -80,9 +89,15 @@ TEST(Reprogram, RandomizedTwinArrayEquivalence) {
     t.b.program(t.slc, src_page, full, now);
     std::vector<SlotWrite> moved;
     for (const SlotWrite& sw : full) {
-      if (rng.chance(0.7)) moved.push_back(sw);
+      if (rng.chance(0.7)) {
+        moved.push_back(
+            {sw.slot, sw.lsn, t.a.source_slot(t.slc, src_page, sw.slot)});
+      }
     }
-    if (moved.empty()) moved.push_back(full[0]);
+    if (moved.empty()) {
+      moved.push_back({full[0].slot, full[0].lsn,
+                       t.a.source_slot(t.slc, src_page, full[0].slot)});
+    }
     t.a.reprogram(t.slc, src_page, t.mlc, dst_page, moved, now + 10);
     t.b.program(t.mlc, dst_page, moved, now + 10);
 

@@ -1,6 +1,10 @@
 // Shadow-model fuzzing of the NAND layer: random program/invalidate/erase
 // sequences run against both the real FlashArray and a trivially-correct
-// reference model; every observable must agree at every step.
+// reference model; every observable must agree at every step. Some
+// programs copy a stored slot's data (SlotWrite::source names it), and
+// the provenance the array reports to an attached IntegrityShadow must
+// match the model's: each slot holds the token of the host write its data
+// came from.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,13 +12,14 @@
 
 #include "common/rng.h"
 #include "nand/flash_array.h"
+#include "support/integrity_shadow.h"
 
 namespace ppssd::nand {
 namespace {
 
 struct ShadowSubpage {
   Lsn owner = kInvalidLsn;
-  std::uint32_t version = 0;
+  std::uint64_t token = 0;  // host write the data came from
   SubpageState state = SubpageState::kFree;
 };
 
@@ -31,10 +36,21 @@ struct ShadowBlock {
 
 class ShadowModel {
  public:
-  explicit ShadowModel(const nand::Geometry& geom) {
+  explicit ShadowModel(const nand::Geometry& geom)
+      : spp_(geom.subpages_per_page()) {
+    std::uint32_t base = 0;
     for (BlockId b = 0; b < geom.total_blocks(); ++b) {
       const CellMode mode =
           geom.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
+      // Flat slot numbering: blocks in order, pages, then slots.
+      for (std::uint32_t p = 0; p < geom.pages_per_block(mode); ++p) {
+        for (std::uint32_t s = 0; s < spp_; ++s) {
+          where_.push_back({b, static_cast<PageId>(p),
+                            static_cast<SubpageId>(s)});
+        }
+      }
+      base_.push_back(base);
+      base += geom.pages_per_block(mode) * spp_;
       ShadowBlock blk;
       blk.pages.resize(geom.pages_per_block(mode));
       for (auto& p : blk.pages) {
@@ -59,13 +75,25 @@ class ShadowModel {
     return true;
   }
 
+  /// Flat index of (b, p, s) — what SlotWrite::source names.
+  [[nodiscard]] std::uint32_t flat(BlockId b, PageId p, SubpageId s) const {
+    return base_[b] + p * spp_ + s;
+  }
+
   void program(BlockId b, PageId p, std::span<const SlotWrite> ws) {
     ShadowBlock& blk = blocks_[b];
     ShadowPage& page = blk.pages[p];
     if (page.program_ops == 0) ++blk.frontier;
     ++page.program_ops;
     for (const auto& w : ws) {
-      page.slots[w.slot] = {w.lsn, w.version, SubpageState::kValid};
+      std::uint64_t token = 0;
+      if (w.source == kHostData) {
+        token = ++next_token_;
+      } else {
+        const Where& src = where_[w.source];
+        token = blocks_[src.b].pages[src.p].slots[src.s].token;
+      }
+      page.slots[w.slot] = {w.lsn, token, SubpageState::kValid};
     }
   }
 
@@ -92,7 +120,8 @@ class ShadowModel {
     ++blk.erases;
   }
 
-  void verify_against(const FlashArray& arr) const {
+  void verify_against(const FlashArray& arr,
+                      const test::IntegrityShadow& integrity) const {
     for (BlockId b = 0; b < blocks_.size(); ++b) {
       const ShadowBlock& sblk = blocks_[b];
       const Block& rblk = arr.block(b);
@@ -111,7 +140,9 @@ class ShadowModel {
               << "block " << b << " page " << p << " slot " << int(s);
           if (sslot.state != SubpageState::kFree) {
             ASSERT_EQ(sslot.owner, rslot.owner_lsn);
-            ASSERT_EQ(sslot.version, rslot.version);
+            ASSERT_EQ(sslot.token, integrity.token(b, p, s))
+                << "block " << b << " page " << p << " slot " << int(s);
+            ASSERT_EQ(flat(b, p, s), arr.source_slot(b, p, s));
           }
           if (sslot.state == SubpageState::kValid) ++valid;
           if (sslot.state == SubpageState::kInvalid) ++invalid;
@@ -125,7 +156,16 @@ class ShadowModel {
   const ShadowBlock& block(BlockId b) const { return blocks_[b]; }
 
  private:
+  struct Where {
+    BlockId b;
+    PageId p;
+    SubpageId s;
+  };
+  std::uint32_t spp_;
+  std::vector<std::uint32_t> base_;
+  std::vector<Where> where_;
   std::vector<ShadowBlock> blocks_;
+  std::uint64_t next_token_ = 0;
 };
 
 class NandShadowFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -135,6 +175,7 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
   cfg.cache.max_partial_programs = 4;
   FlashArray arr(cfg);
   ShadowModel shadow(arr.geometry());
+  const test::IntegrityShadow integrity(arr);
   Rng rng(GetParam());
 
   // Operate on a handful of blocks from both regions so erase cycles and
@@ -143,7 +184,7 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
   pool.push_back(arr.geometry().slc_blocks_per_plane());      // MLC block
   pool.push_back(arr.geometry().slc_blocks_per_plane() + 1);  // MLC block
   Lsn next_lsn = 1;
-  std::uint32_t version = 1;
+  int copies = 0;
 
   int programs = 0;
   int erases = 0;
@@ -162,15 +203,33 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
             std::min<std::uint32_t>(blk.write_frontier(),
                                     blk.page_count() - 1));
       }
-      // Random free-slot subset (contiguity not required).
+      // Random free-slot subset (contiguity not required). A slot is
+      // either fresh host data or, now and then, a copy of a stored slot
+      // of another pool block (its LSN and its provenance).
       std::array<SlotWrite, kMaxSubpagesPerPage> ws;
       std::size_t n = 0;
       for (std::uint32_t s = 0; s < blk.subpages_per_page(); ++s) {
-        if (arr.subpage_state(b, p, static_cast<SubpageId>(s)) ==
-                SubpageState::kFree &&
-            rng.chance(0.5)) {
-          ws[n++] = {static_cast<SubpageId>(s), next_lsn++, version++};
+        if (arr.subpage_state(b, p, static_cast<SubpageId>(s)) !=
+                SubpageState::kFree ||
+            !rng.chance(0.5)) {
+          continue;
         }
+        const BlockId sb = pool[rng.next_below(pool.size())];
+        const Block& src = arr.block(sb);
+        if (sb != b && src.write_frontier() > 0 && rng.chance(0.2)) {
+          const auto sp = static_cast<PageId>(
+              rng.next_below(src.write_frontier()));
+          const auto ss =
+              static_cast<SubpageId>(rng.next_below(src.subpages_per_page()));
+          if (arr.subpage_state(sb, sp, ss) != SubpageState::kFree) {
+            ws[n++] = {static_cast<SubpageId>(s),
+                       arr.subpage(sb, sp, ss).owner_lsn,
+                       arr.source_slot(sb, sp, ss)};
+            ++copies;
+            continue;
+          }
+        }
+        ws[n++] = {static_cast<SubpageId>(s), next_lsn++};
       }
       if (n == 0) continue;
       const std::span<const SlotWrite> span(ws.data(), n);
@@ -218,12 +277,13 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
     }
 
     if (iter % 5000 == 4999) {
-      shadow.verify_against(arr);
+      shadow.verify_against(arr, integrity);
     }
   }
-  shadow.verify_against(arr);
+  shadow.verify_against(arr, integrity);
   EXPECT_GT(programs, 1000);
   EXPECT_GT(erases, 50);
+  EXPECT_GT(copies, 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NandShadowFuzz,
